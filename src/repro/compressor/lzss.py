@@ -24,12 +24,7 @@ the per-message hot path and per-position work dominated its profile.
 
 from __future__ import annotations
 
-try:  # numpy is already a simulator dependency (rng streams); used only
-    # to batch-precompute the match-finder chains, with a pure-Python
-    # fallback that builds the identical structure.
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["LzssCodec", "WINDOW_SIZE", "MIN_MATCH", "MAX_MATCH"]
 
@@ -46,22 +41,14 @@ def _prev_same_hash(data: bytes, n: int) -> list[int]:
     position enumerates earlier same-hash candidates nearest-first,
     exactly like an incrementally-built head/prev chain table.
     """
-    if _np is not None:
-        buf = _np.frombuffer(data, dtype=_np.uint8).astype(_np.int32)
-        hashes = (buf[:-2] * 131 + buf[1:-1] * 31 + buf[2:]) & 0xFFFF
-        order = _np.argsort(hashes, kind="stable")
-        ordered = hashes[order]
-        same = ordered[1:] == ordered[:-1]
-        prev = _np.full(n - 2, -1, dtype=_np.int64)
-        prev[order[1:][same]] = order[:-1][same]
-        return prev.tolist()
-    last: dict[int, int] = {}
-    prev_list = [-1] * (n - 2)
-    for j in range(n - 2):
-        h = (data[j] * 131 + data[j + 1] * 31 + data[j + 2]) & 0xFFFF
-        prev_list[j] = last.get(h, -1)
-        last[h] = j
-    return prev_list
+    buf = _np.frombuffer(data, dtype=_np.uint8).astype(_np.int32)
+    hashes = (buf[:-2] * 131 + buf[1:-1] * 31 + buf[2:]) & 0xFFFF
+    order = _np.argsort(hashes, kind="stable")
+    ordered = hashes[order]
+    same = ordered[1:] == ordered[:-1]
+    prev = _np.full(n - 2, -1, dtype=_np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev.tolist()
 
 
 class LzssCodec:

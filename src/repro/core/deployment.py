@@ -161,8 +161,8 @@ class DeploymentBuilder:
         )
         self._gateways[address] = gateway
         if self.shards:
-            # Gateway g homes region g % K; its region subgraph carries all
-            # routing for the devices assigned to the same shard.
+            # Gateway g homes region g % K, together with the devices
+            # assigned to the same shard.
             self.network.assign_shard(
                 address, (len(self._gateways) - 1) % self.shards
             )

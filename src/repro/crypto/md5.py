@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from hashlib import md5 as _hashlib_md5
 
 __all__ = ["md5", "md5_hex", "MD5"]
 
@@ -104,21 +105,13 @@ class MD5:
 # under test against hashlib); the module-level helpers sit on the
 # per-message hot path — keystream blocks and integrity tags — so they
 # delegate to the C implementation, which is bit-identical by definition.
-try:  # pragma: no cover - hashlib always has md5 on CPython
-    from hashlib import md5 as _hashlib_md5
-except ImportError:  # pragma: no cover
-    _hashlib_md5 = None
 
 
 def md5(data: bytes) -> bytes:
     """16-byte MD5 digest of ``data``."""
-    if _hashlib_md5 is not None:
-        return _hashlib_md5(data).digest()
-    return MD5(data).digest()
+    return _hashlib_md5(data).digest()
 
 
 def md5_hex(data: bytes) -> str:
     """Hex MD5 digest of ``data``."""
-    if _hashlib_md5 is not None:
-        return _hashlib_md5(data).hexdigest()
-    return MD5(data).hexdigest()
+    return _hashlib_md5(data).hexdigest()

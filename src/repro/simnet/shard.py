@@ -25,11 +25,10 @@ purely a *performance* hint:
   exactness is enforced by the merge itself, even when jitter undercuts
   the nominal minimum inter-shard link latency.
 
-The payoff is locality: per-shard heaps stay small, whole conservative
-windows drain without touching other shards, and (via
-:meth:`~repro.simnet.topology.Network.assign_shard`) routing runs on
-per-region subgraphs — turning the O(population) backbone-hub Dijkstra
-that collapsed single-heap throughput into an O(region) lookup.
+The payoff is locality: per-shard heaps stay small and whole conservative
+windows drain without touching other shards.  Routing does not depend on
+the assignment (:meth:`~repro.simnet.topology.Network.assign_shard` only
+homes delivery wake-ups).
 
 For populations that partition cleanly into independent regions,
 :func:`run_sharded` fans region simulations out to ``multiprocessing``

@@ -1,8 +1,13 @@
 """Network topology: nodes, links, routing, and datagram delivery.
 
 The :class:`Network` ties together the kernel, the RNG streams, the node
-table and the link table.  Routing uses networkx shortest paths weighted by
-base link latency, recomputed lazily whenever the topology changes.
+table and the link table.  Routes are shortest paths weighted by base link
+latency.  In every deployment the devices, gateways and sites each hang off
+one uplink, so the router treats such *leaves* (nodes whose live links all
+go to one neighbour) as their uplink plus one hop and runs Dijkstra only
+over the small infrastructure *core* of multi-neighbour nodes.  The core's
+per-source path tables survive every change that leaves the core alone
+(device attach, handover, a leaf's link going down).
 
 Multi-hop transfers are modelled end-to-end: propagation delay is the sum of
 per-link latency samples and serialisation uses the bottleneck (minimum)
@@ -12,10 +17,9 @@ because the evaluation's quantities are dominated by the wireless first hop.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Optional
-
-import networkx as nx
 
 from .kernel import Simulator
 from .link import Link, LinkSpec
@@ -68,23 +72,72 @@ class Network:
         self.tracer = Tracer(self.sim, metrics=self.telemetry.metrics)
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._graph = nx.DiGraph()
+        # Live-link neighbourhood: node -> {neighbour: live links between
+        # the two (1 or 2)}.  One neighbour makes a leaf, two or more a
+        # core node.
+        self._nbrs: dict[str, dict[str, int]] = {}
+        # Core adjacency: core node -> {core successor: base latency of the
+        # live link}.  Its keys are exactly the core nodes.
+        self._core: dict[str, dict[str, float]] = {}
+        # Single-source shortest paths over the core, filled per source on
+        # demand and dropped only when the core changes.
+        self._core_paths: dict[str, dict[str, list[str]]] = {}
+        # Per-pair caches (node path, link objects, bottleneck bandwidth),
+        # cleared on every link change.
         self._routes: dict[tuple[str, str], list[str]] = {}
-        # Derived per-route caches (link objects along the path, bottleneck
-        # bandwidth); invalidated together with _routes on topology change.
         self._route_links: dict[tuple[str, str], list[Link]] = {}
         self._bottlenecks: dict[tuple[str, str], float] = {}
         # Shard (gateway-region) assignment: address -> shard index.
-        # Unassigned nodes (backbone, central, bank sites) are *infrastructure*
-        # and appear in every region's routing subgraph.
+        # Unassigned nodes (backbone, central, bank sites) are infrastructure.
         self._shards: dict[str, int] = {}
-        self._region_graphs: Optional[dict[int, nx.DiGraph]] = None
 
     def _invalidate_routes(self) -> None:
         self._routes.clear()
         self._route_links.clear()
         self._bottlenecks.clear()
-        self._region_graphs = None
+
+    def _live_changed(self, src: str, dst: str, live: bool) -> None:
+        """Fold link ``src->dst`` going live (or dead) into the leaf/core state.
+
+        O(1): only the two endpoints' neighbour counts move, and a node
+        crossing between leaf and core has at most two neighbours to relink.
+        The core path table is dropped only if the core itself changed.
+        """
+        nbrs, core = self._nbrs, self._core
+        if src in core and dst in core:
+            if live:
+                core[src][dst] = self._links[(src, dst)].spec.latency
+            else:
+                del core[src][dst]
+            self._core_paths.clear()
+        step = 1 if live else -1
+        for node, other in ((src, dst), (dst, src)):
+            nb = nbrs[node]
+            was_core = len(nb) >= 2
+            count = nb.get(other, 0) + step
+            if count:
+                nb[other] = count
+            else:
+                del nb[other]
+            if was_core == (len(nb) >= 2):
+                continue
+            self._core_paths.clear()
+            if was_core:  # demoted to a leaf (or isolated)
+                del core[node]
+                for peer in nb:
+                    if peer in core:
+                        core[peer].pop(node, None)
+                continue
+            row = core[node] = {}
+            for peer in nb:
+                if peer not in core:
+                    continue
+                out = self._links.get((node, peer))
+                if out is not None and out.up:
+                    row[peer] = out.spec.latency
+                back = self._links.get((peer, node))
+                if back is not None and back.up:
+                    core[peer][node] = back.spec.latency
 
     # -- topology construction -------------------------------------------------
     def add_node(self, node: Node | str, kind: str = "host", cpu_factor: float = 1.0) -> Node:
@@ -95,7 +148,7 @@ class Network:
             raise ValueError(f"duplicate node address {node.address!r}")
         node._attach(self)
         self._nodes[node.address] = node
-        self._graph.add_node(node.address)
+        self._nbrs[node.address] = {}
         return node
 
     def node(self, address: str) -> Node:
@@ -123,7 +176,7 @@ class Network:
         link = Link(src, dst, spec)
         link.attach_stream(self.streams.get(f"link:{src}->{dst}"))
         self._links[(src, dst)] = link
-        self._graph.add_edge(src, dst, weight=spec.latency, link=link)
+        self._live_changed(src, dst, True)
         self._invalidate_routes()
         return link
 
@@ -135,9 +188,9 @@ class Network:
         """Remove a directed link permanently (device mobility/re-homing)."""
         if (src, dst) not in self._links:
             raise KeyError(f"no link {src}->{dst}")
+        if self._links[(src, dst)].up:
+            self._live_changed(src, dst, False)
         del self._links[(src, dst)]
-        if self._graph.has_edge(src, dst):
-            self._graph.remove_edge(src, dst)
         self._invalidate_routes()
 
     def remove_duplex_link(self, a: str, b: str) -> None:
@@ -163,8 +216,10 @@ class Network:
         link = self.link(src, dst)
         old = link.spec
         link.spec = spec
-        if self._graph.has_edge(src, dst):
-            self._graph[src][dst]["weight"] = spec.latency
+        row = self._core.get(src)
+        if row is not None and dst in row:
+            row[dst] = spec.latency
+            self._core_paths.clear()
         self._invalidate_routes()
         return old
 
@@ -178,26 +233,22 @@ class Network:
         if link.up == up:
             return
         link.up = up
-        if up:
-            self._graph.add_edge(src, dst, weight=link.spec.latency, link=link)
-        else:
-            self._graph.remove_edge(src, dst)
+        self._live_changed(src, dst, up)
         self._invalidate_routes()
 
     # -- shard (region) assignment -------------------------------------------
     def assign_shard(self, address: str, shard: int) -> None:
         """Home ``address`` in gateway region ``shard``.
 
-        Shard assignment is a locality hint for the sharded kernel and for
-        region-scoped routing; it never changes delivery semantics (the
-        sharded kernel's merge is exact regardless of assignment).
+        Shard assignment is a locality hint for the sharded kernel; it
+        never changes routes or delivery semantics (the sharded kernel's
+        merge is exact regardless of assignment).
         """
         if address not in self._nodes:
             raise KeyError(f"unknown node {address!r}")
         if shard < 0:
             raise ValueError(f"shard index must be >= 0, got {shard!r}")
         self._shards[address] = int(shard)
-        self._invalidate_routes()
 
     def shard_of(self, address: str) -> Optional[int]:
         """Home shard of a node, or None for unassigned infrastructure."""
@@ -215,64 +266,6 @@ class Network:
             return 0.0
         return min(link.spec.latency for link in self._links.values())
 
-    def _build_region_graphs(self) -> dict[int, nx.DiGraph]:
-        """Materialise one routing subgraph per region in a single edge pass.
-
-        Region *k* holds every edge whose endpoints are both in region *k*
-        or unassigned infrastructure; infra–infra edges go to all regions
-        and cross-region edges to none (those routes fall back to the full
-        graph).  Real DiGraphs — not ``nx.subgraph`` views — so Dijkstra's
-        adjacency scans are O(region), not O(population): with the hub-and-
-        spoke deployments the backbone's full-graph degree grows with the
-        population and made routing the dominant superlinear cost.
-        """
-        regions = {
-            shard: nx.DiGraph() for shard in sorted(set(self._shards.values()))
-        }
-        shards = self._shards
-        for src, dst, data in self._graph.edges(data=True):
-            s_src = shards.get(src)
-            s_dst = shards.get(dst)
-            if s_src is None and s_dst is None:
-                targets = regions.values()
-            elif s_src is None or s_dst is None or s_src == s_dst:
-                region = regions.get(s_src if s_src is not None else s_dst)
-                targets = (region,) if region is not None else ()
-            else:  # cross-region edge: full-graph routing only
-                targets = ()
-            for graph in targets:
-                graph.add_edge(src, dst, **data)
-        return regions
-
-    def _region_route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Region-scoped shortest path, or None to use the full graph.
-
-        Applies when the endpoints share a region (counting infrastructure
-        as a member of every region).  The hub-and-spoke deployments route
-        every such pair through infrastructure inside the region subgraph,
-        so the result matches the full-graph path; any pair the subgraph
-        cannot serve falls back rather than erroring.
-        """
-        shards = self._shards
-        if not shards:
-            return None
-        s_src = shards.get(src)
-        s_dst = shards.get(dst)
-        if s_src is None and s_dst is None:
-            return None
-        if s_src is not None and s_dst is not None and s_src != s_dst:
-            return None
-        region = s_src if s_src is not None else s_dst
-        if self._region_graphs is None:
-            self._region_graphs = self._build_region_graphs()
-        graph = self._region_graphs.get(region)
-        if graph is None:
-            return None
-        try:
-            return nx.shortest_path(graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
-
     # -- routing ------------------------------------------------------------
     def route(self, src: str, dst: str) -> list[str]:
         """Shortest-latency node path from ``src`` to ``dst`` (inclusive)."""
@@ -283,14 +276,65 @@ class Network:
         if path is None:
             if src not in self._nodes or dst not in self._nodes:
                 raise KeyError(f"route endpoints {src!r}/{dst!r} must be nodes")
-            path = self._region_route(src, dst)
-            if path is None:
-                try:
-                    path = nx.shortest_path(self._graph, src, dst, weight="weight")
-                except nx.NetworkXNoPath:
-                    raise NoRouteError(f"no route {src} -> {dst}") from None
+            path = self._compute_route(src, dst)
             self._routes[key] = path
         return path
+
+    def _compute_route(self, src: str, dst: str) -> list[str]:
+        """Leaf uplinks stripped off both ends, core path in between."""
+        links = self._links
+        a, b = src, dst
+        nb = self._nbrs[src]
+        if len(nb) == 1:
+            (a,) = nb
+            uplink = links.get((src, a))
+            if uplink is None or not uplink.up:
+                raise NoRouteError(f"no route {src} -> {dst}")
+            if a == dst:
+                return [src, dst]
+        nb = self._nbrs[dst]
+        if len(nb) == 1:
+            (b,) = nb
+            downlink = links.get((b, dst))
+            if downlink is None or not downlink.up:
+                raise NoRouteError(f"no route {src} -> {dst}")
+            if b == src:
+                return [src, dst]
+        if a == b:  # two leaves under one uplink
+            return [src, a, dst]
+        if a not in self._core or b not in self._core:
+            raise NoRouteError(f"no route {src} -> {dst}")
+        paths = self._core_paths.get(a)
+        if paths is None:
+            paths = self._core_paths[a] = self._core_dijkstra(a)
+        path = paths.get(b)
+        if path is None:
+            raise NoRouteError(f"no route {src} -> {dst}")
+        if a != src:
+            path = [src] + path
+        if b != dst:
+            path = path + [dst]
+        return path
+
+    def _core_dijkstra(self, source: str) -> dict[str, list[str]]:
+        """Shortest latency paths from ``source`` to every reachable core node."""
+        core = self._core
+        paths = {source: [source]}
+        dist = {source: 0.0}
+        done: set[str] = set()
+        heap = [(0.0, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            done.add(node)
+            for peer, weight in core[node].items():
+                nd = d + weight
+                if peer not in dist or nd < dist[peer]:
+                    dist[peer] = nd
+                    paths[peer] = paths[node] + [peer]
+                    heapq.heappush(heap, (nd, peer))
+        return paths
 
     def path_links(self, src: str, dst: str) -> list[Link]:
         """Links along the current route from ``src`` to ``dst``."""
