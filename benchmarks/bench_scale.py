@@ -1,6 +1,6 @@
 """Population-scale benchmark and regression gate.
 
-Two jobs in one file:
+Three jobs in one file:
 
 * ``test_scale_*`` — pytest-collectable benchmarks that run a small
   population sweep and gate against the committed ``BENCH_scale.json``
@@ -8,6 +8,9 @@ Two jobs in one file:
   (``events_processed`` equality — determinism is free to check), and
   kernel throughput must not regress more than ``MAX_REGRESSION``
   (20%) against the baseline's events/sec.
+* ``check_large_baseline`` — static checks on the committed 5,000-device
+  row: its exact timeline and a 2x events/sec floor over the old
+  single-heap row.
 * ``python benchmarks/bench_scale.py`` — standalone CLI that runs the same
   gate without pytest (used by the CI benchmark job).
 
@@ -26,14 +29,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import io  # noqa: E402
-
 from repro.experiments.scale import run_population  # noqa: E402
-from repro.experiments.scenario import (  # noqa: E402
-    build_scenario,
-    run_pdagent_batch,
-)
-from repro.telemetry import TraceCollector  # noqa: E402
 
 #: Population used for the gate — small enough for CI, large enough that
 #: per-event costs dominate the (one-time) deployment build.
@@ -44,32 +40,24 @@ MAX_REGRESSION = 0.20
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
 
 
-#: Shard count for the sharded runtime gate (with one gateway per shard).
-GATE_SHARDS = 4
-#: Required aggregate events/sec speedup of the committed 5,000-device
-#: sharded row over the committed single-heap row.
-SHARDED_SPEEDUP_FLOOR = 2.0
-#: Large sharded rows that must be present in the committed baseline.
-REQUIRED_SHARDED_ROWS = ((5000, 10), (20000, 40), (50000, 100))
+#: Events/sec of the 5,000-device single-heap row as first committed, before
+#: the codec hot-path pass and the leaf-aware router; the committed row must
+#: stay ``LARGE_ROW_SPEEDUP_FLOOR``x above it.
+OLD_SINGLE_HEAP_5000_EVENTS_PER_SEC = 4370.5
+LARGE_ROW_SPEEDUP_FLOOR = 2.0
+#: The large committed row and the event count of its seed-0 timeline.
+LARGE_POPULATION = 5000
+LARGE_ROW_EVENTS = 610011
 
 
-def load_baseline(population: int = GATE_POPULATION, shards: int = 0) -> dict:
-    """The committed baseline entry for ``(population, shards)`` (or raise).
-
-    ``shards=0`` selects the classic single-heap row (rows written before
-    the sharded axis carry no ``shards`` field and default to 0).
-    """
+def load_baseline(population: int = GATE_POPULATION) -> dict:
+    """The committed baseline entry for ``population`` (or raise)."""
     with open(BASELINE_PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     for entry in doc["populations"]:
-        if (
-            entry["population"] == population
-            and entry.get("shards", 0) == shards
-        ):
+        if entry["population"] == population:
             return entry
-    raise KeyError(
-        f"no baseline entry for population {population} (shards={shards})"
-    )
+    raise KeyError(f"no baseline entry for population {population}")
 
 
 def run_gate(population: int = GATE_POPULATION, seed: int = 0) -> dict:
@@ -107,95 +95,30 @@ def run_gate(population: int = GATE_POPULATION, seed: int = 0) -> dict:
     }
 
 
-def run_sharded_gate(
-    population: int = GATE_POPULATION,
-    shards: int = GATE_SHARDS,
-    seed: int = 0,
-) -> dict:
-    """Sharded-kernel runtime gate: exact single-vs-sharded identity.
+def check_large_baseline() -> dict:
+    """Static checks on the committed 5,000-device row of ``BENCH_scale.json``.
 
-    Runs the same population on the single-heap kernel and on the sharded
-    kernel (one gateway per shard) and asserts the timelines are identical
-    — the sharded merge contract, checked end to end on a real workload.
-    Returns a report with the events/sec-per-shard headline.
+    * it replays the seed-0 timeline exactly (``LARGE_ROW_EVENTS`` events,
+      every task completed);
+    * its events/sec is at least ``LARGE_ROW_SPEEDUP_FLOOR``x
+      ``OLD_SINGLE_HEAP_5000_EVENTS_PER_SEC``.
     """
-    single = run_population(population, seed=seed, n_gateways=shards)
-    sharded = run_population(
-        population, seed=seed, n_gateways=shards, shards=shards
+    row = load_baseline(LARGE_POPULATION)
+    assert row["events_processed"] == LARGE_ROW_EVENTS, (
+        f"committed 5000-device row has {row['events_processed']} events, "
+        f"expected {LARGE_ROW_EVENTS}"
     )
-    assert sharded.events_processed == single.events_processed, (
-        f"sharded kernel diverged: single {single.events_processed} events, "
-        f"sharded {sharded.events_processed} — the exact merge broke"
+    assert row["tasks_completed"] == LARGE_POPULATION, (
+        f"committed 5000-device row completed {row['tasks_completed']} "
+        f"tasks, expected {LARGE_POPULATION}"
     )
-    assert sharded.sim_time_s == single.sim_time_s, (
-        f"sharded kernel end time drifted: {single.sim_time_s} vs "
-        f"{sharded.sim_time_s}"
+    speedup = row["events_per_sec"] / OLD_SINGLE_HEAP_5000_EVENTS_PER_SEC
+    assert speedup >= LARGE_ROW_SPEEDUP_FLOOR, (
+        f"committed 5000-device row is only {speedup:.2f}x the "
+        f"{OLD_SINGLE_HEAP_5000_EVENTS_PER_SEC} ev/s old single-heap row "
+        f"(floor {LARGE_ROW_SPEEDUP_FLOOR}x)"
     )
-    assert sharded.tasks_completed == single.tasks_completed == population
-    # Byte-level identity: the full telemetry JSONL export of a sharded
-    # scenario run must equal the single-heap export, byte for byte.
-    exports = []
-    for scenario_shards in (None, 2):
-        scenario = build_scenario(seed=3, shards=scenario_shards)
-        run_pdagent_batch(scenario, 3)
-        collector = TraceCollector()
-        collector.add_run("gate", scenario.network)
-        buf = io.StringIO()
-        collector.write_jsonl(buf)
-        exports.append(buf.getvalue())
-    assert exports[0], "trace export is empty — the byte-compare is vacuous"
-    assert exports[0] == exports[1], (
-        "sharded scenario trace is not byte-identical to the single-heap "
-        "trace"
-    )
-    return {
-        "population": population,
-        "shards": shards,
-        "events_processed": sharded.events_processed,
-        "trace_bytes_compared": len(exports[0]),
-        "single_events_per_sec": single.events_per_sec,
-        "sharded_events_per_sec": sharded.events_per_sec,
-        "events_per_sec_per_shard": sharded.events_per_sec_per_shard,
-    }
-
-
-def check_sharded_baseline() -> dict:
-    """Static checks on the committed sharded rows of ``BENCH_scale.json``.
-
-    * every row in ``REQUIRED_SHARDED_ROWS`` exists;
-    * the 5,000-device sharded row processed *exactly* as many events as
-      the 5,000-device single-heap row (collect-anywhere identity, recorded
-      at bench time on one machine);
-    * the sharded 5,000-device row is at least ``SHARDED_SPEEDUP_FLOOR``×
-      the single-heap row in aggregate events/sec.
-    """
-    for population, shards in REQUIRED_SHARDED_ROWS:
-        load_baseline(population, shards=shards)  # raises if missing
-    single = load_baseline(5000, shards=0)
-    sharded = load_baseline(5000, shards=10)
-    assert sharded["events_processed"] == single["events_processed"], (
-        "committed 5000-device rows disagree on events_processed: "
-        f"single {single['events_processed']}, sharded "
-        f"{sharded['events_processed']}"
-    )
-    speedup = sharded["events_per_sec"] / single["events_per_sec"]
-    assert speedup >= SHARDED_SPEEDUP_FLOOR, (
-        f"committed sharded 5000-device row is only {speedup:.2f}x the "
-        f"single-heap row (floor {SHARDED_SPEEDUP_FLOOR}x)"
-    )
-    return {
-        "speedup_5000": speedup,
-        "rows": [
-            {
-                "population": population,
-                "shards": shards,
-                "events_per_sec_per_shard": load_baseline(
-                    population, shards=shards
-                ).get("events_per_sec_per_shard", 0.0),
-            }
-            for population, shards in REQUIRED_SHARDED_ROWS
-        ],
-    }
+    return {"events_per_sec_5000": row["events_per_sec"], "speedup_5000": speedup}
 
 
 # -- pytest entry points -------------------------------------------------------
@@ -228,27 +151,12 @@ def test_scale_population_benchmark(benchmark):
     assert result.tasks_completed == GATE_POPULATION
 
 
-def test_scale_sharded_identity_gate(emit):
-    report = run_sharded_gate()
+def test_scale_committed_large_row(emit):
+    report = check_large_baseline()
     emit(
-        f"sharded gate: {report['shards']} shards, "
-        f"{report['events_processed']} events identical, "
-        f"{report['sharded_events_per_sec']:.0f} ev/s "
-        f"({report['events_per_sec_per_shard']:.0f} ev/s/shard) vs single "
-        f"{report['single_events_per_sec']:.0f} ev/s"
-    )
-
-
-def test_scale_sharded_committed_baseline(emit):
-    report = check_sharded_baseline()
-    emit(
-        f"committed sharded rows OK: 5000-device speedup "
-        f"{report['speedup_5000']:.2f}x, rows "
-        + ", ".join(
-            f"{r['population']}@{r['shards']}sh="
-            f"{r['events_per_sec_per_shard']:.0f} ev/s/shard"
-            for r in report["rows"]
-        )
+        f"committed 5000-device row OK: "
+        f"{report['events_per_sec_5000']:.0f} ev/s, "
+        f"{report['speedup_5000']:.2f}x the old single-heap row"
     )
 
 
@@ -257,8 +165,6 @@ def test_scale_sharded_committed_baseline(emit):
 if __name__ == "__main__":
     report = run_gate()
     print(json.dumps(report, indent=2, sort_keys=True))
-    sharded_report = run_sharded_gate()
-    print(json.dumps(sharded_report, indent=2, sort_keys=True))
-    baseline_report = check_sharded_baseline()
+    baseline_report = check_large_baseline()
     print(json.dumps(baseline_report, indent=2, sort_keys=True))
     print("scale gate: OK")

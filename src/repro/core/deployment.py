@@ -26,7 +26,7 @@ from ..mas import (
     ServiceAgent,
     wire_format_by_name,
 )
-from ..simnet import LinkSpec, Network, ShardedSimulator
+from ..simnet import LinkSpec, Network
 from .config import PDAgentConfig
 from .fleet import Fleet
 from .gateway import Gateway
@@ -84,21 +84,9 @@ class DeploymentBuilder:
         master_seed: int = 0,
         config: Optional[PDAgentConfig] = None,
         mas_flavour: str = "aglets",
-        shards: Optional[int] = None,
     ) -> None:
         self.config = config or PDAgentConfig()
-        # shards=None (or <=1 with no explicit request) keeps the classic
-        # single-heap kernel; shards=K runs the same deployment on a
-        # ShardedSimulator with K per-region calendars.  The sharded merge
-        # is exact, so both kernels produce byte-identical runs.
-        self.shards = int(shards) if shards else 0
-        if self.shards:
-            self.network = Network(
-                sim=ShardedSimulator(n_shards=self.shards),
-                master_seed=master_seed,
-            )
-        else:
-            self.network = Network(master_seed=master_seed)
+        self.network = Network(master_seed=master_seed)
         self.registry = AgentClassRegistry()
         self.catalog = ServiceCatalog()
         self.directory = SubscriptionDirectory()
@@ -160,12 +148,6 @@ class DeploymentBuilder:
             config=self.config,
         )
         self._gateways[address] = gateway
-        if self.shards:
-            # Gateway g homes region g % K, together with the devices
-            # assigned to the same shard.
-            self.network.assign_shard(
-                address, (len(self._gateways) - 1) % self.shards
-            )
         if register:
             self._central.register_gateway(address)
         return self
@@ -197,24 +179,16 @@ class DeploymentBuilder:
         profile: str = "PDA",
         wireless: LinkSpec | str = "GPRS",
         attach_to: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> "DeploymentBuilder":
         """Create a device + platform; its wireless link lands on
         ``attach_to`` (default: the backbone, i.e. an access point that can
-        reach every gateway).  On a sharded deployment the device is homed
-        by ``shard`` (its home cell), defaulting to round-robin over the
-        shard count — assignment is a locality hint only."""
+        reach every gateway)."""
         if self._central_address is None:
             raise ValueError("add_central() must come before add_device()")
         device = Device(self.network, address, profile=profile)
         device.attach_wireless(
             attach_to or self._backbone, self._resolve_link(wireless)
         )
-        if self.shards:
-            home = (
-                len(self._devices) % self.shards if shard is None else shard
-            )
-            self.network.assign_shard(address, home % self.shards)
         self._devices[address] = device
         self._platforms[address] = PDAgentPlatform(
             device, self._central_address, config=self.config
@@ -237,11 +211,6 @@ class DeploymentBuilder:
             raise ValueError("deployment needs a central server")
         if not self._gateways:
             raise ValueError("deployment needs at least one gateway")
-        if self.shards:
-            # Conservative lookahead = min base link latency: windows the
-            # cross-shard exchange (pure batching knob; exactness is the
-            # merge's job, so jitter undercutting the bound is harmless).
-            self.network.sim.lookahead = self.network.conservative_lookahead()
         fleet = None
         if self.config.fleet_enabled:
             fleet = Fleet(

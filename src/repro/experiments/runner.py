@@ -12,8 +12,7 @@ Usage (installed as ``pdagent-experiments``)::
     pdagent-experiments churn        # rolling restart of every fleet member
     pdagent-experiments diversity    # diurnal + flash-crowd day, full app mix
     pdagent-experiments scale        # device-population kernel sweep
-                                     #   (--shards N for the sharded kernel;
-                                     #   not part of "all" — it is the perf
+                                     #   (not part of "all" — it is the perf
                                      #   bench, see BENCH_scale.json)
     pdagent-experiments claims       # C1 code sizes, C2 footprint
     pdagent-experiments ablations    # A1-A4
@@ -144,28 +143,20 @@ def _run_churn(args, collector=None):
 
 
 def _run_scale(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population and
-    --shards runs every row on the sharded kernel."""
+    """Device-population sweep; --max-n caps the largest population."""
     populations = scale.DEFAULT_POPULATIONS
     if args.max_n:
         populations = tuple(n for n in populations if n <= args.max_n) or (
             args.max_n,
         )
-    result = scale.run_scale_sweep(
-        populations,
-        seed=args.seed,
-        shards=getattr(args, "shards", 0) or 0,
-        executor=getattr(args, "executor", "inline"),
-    )
+    result = scale.run_scale_sweep(populations, seed=args.seed)
     print(result.render())
     if args.csv:
         path = os.path.join(args.csv, "scale.csv")
-        rows = ["population,gateways,shards,mode,events_processed,"
-                "events_per_sec,events_per_sec_per_shard"]
+        rows = ["population,gateways,events_processed,events_per_sec"]
         rows += [
-            f"{r.population},{r.gateways},{r.shards},{r.mode},"
-            f"{r.events_processed},{r.events_per_sec:.1f},"
-            f"{r.events_per_sec_per_shard:.1f}"
+            f"{r.population},{r.gateways},"
+            f"{r.events_processed},{r.events_per_sec:.1f}"
             for r in result.populations
         ]
         with open(path, "w") as fh:
@@ -256,19 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="cap the transaction sweep at N (smaller, faster runs)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="scale: run the sweep on a sharded kernel with N shards",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("inline", "serial", "process"),
-        default="inline",
-        help="scale: sharded executor (inline exact merge, or "
-        "region-partitioned serial/multiprocessing sub-simulations)",
     )
     args = parser.parse_args(argv)
     if args.csv:

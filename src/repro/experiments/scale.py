@@ -25,7 +25,6 @@ wall-clock/RSS measurements vary run to run.
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import sys
 import time
@@ -40,7 +39,6 @@ from ..apps.ebanking import (
 )
 from ..core import DeploymentBuilder, PDAgentConfig
 from ..mas import Stop
-from ..simnet.shard import run_sharded
 
 __all__ = [
     "PopulationResult",
@@ -48,14 +46,9 @@ __all__ = [
     "run_population",
     "run_scale_sweep",
     "DEFAULT_POPULATIONS",
-    "SHARDED_POPULATIONS",
 ]
 
 DEFAULT_POPULATIONS = (100, 1000, 5000)
-#: The sharded axis of the sweep: (population, shard count).  Shard counts
-#: track the gateway fleet (one shard per gateway region), giving near-
-#: constant devices-per-shard as the population grows.
-SHARDED_POPULATIONS = ((5000, 10), (20000, 40), (50000, 100))
 #: One gateway per this many devices (minimum 2 — it is a *fleet*).
 DEVICES_PER_GATEWAY = 500
 #: Simulated seconds between consecutive device task starts.  Small enough
@@ -65,7 +58,7 @@ ARRIVAL_SPACING_S = 0.05
 
 @dataclass
 class PopulationResult:
-    """Measurements for one (population, kernel configuration) point."""
+    """Measurements for one population point."""
 
     population: int
     gateways: int
@@ -77,31 +70,12 @@ class PopulationResult:
     events_per_sec: float
     wall_per_task_s: float
     peak_rss_mb: float
-    #: 0 = classic single-heap kernel; K = K kernel shards.
-    shards: int = 0
-    #: "single" | "sharded" (exact in-process merge) | "sharded-mp"
-    #: (region-partitioned multiprocessing executor).
-    mode: str = "single"
-    #: The headline scaling metric: aggregate events/sec divided by the
-    #: shard count (1 for the single-heap kernel).
-    events_per_sec_per_shard: float = 0.0
-    #: Events routed through the cross-shard exchange (0 when single).
-    cross_shard_events: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.events_per_sec_per_shard:
-            self.events_per_sec_per_shard = self.events_per_sec / max(
-                self.shards, 1
-            )
 
     def render(self) -> str:
-        kernel = f"{self.shards} shards" if self.shards else "single"
         return (
             f"{self.population:>6} devices  {self.gateways:>3} gw  "
-            f"{kernel:>10}  "
             f"{self.events_processed:>9} events  "
             f"{self.events_per_sec:>9.0f} ev/s  "
-            f"{self.events_per_sec_per_shard:>8.0f} ev/s/shard  "
             f"{self.wall_per_task_s * 1e3:>8.2f} ms/task  "
             f"{self.peak_rss_mb:>7.1f} MB RSS"
         )
@@ -149,9 +123,18 @@ def _peak_rss_mb() -> float:
     return _maxrss_bytes() / (1024.0 * 1024.0)
 
 
-def _device_shard(i: int, n_gateways: int, shards: int) -> int:
-    """Home cell policy: a device shares its assigned gateway's shard."""
-    return (i % n_gateways) % shards
+def _reset_peak_rss() -> None:
+    """Reset the process peak RSS to the current RSS, so the next
+    :func:`_peak_rss_mb` reports this row's peak and not an earlier row's.
+
+    Writing ``5`` to ``/proc/self/clear_refs`` resets ``VmHWM`` and with it
+    ``ru_maxrss`` on Linux; elsewhere the reset is skipped.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:
+        pass
 
 
 def run_population(
@@ -160,8 +143,6 @@ def run_population(
     n_gateways: Optional[int] = None,
     config: Optional[PDAgentConfig] = None,
     transactions_per_task: int = 1,
-    shards: int = 0,
-    executor: str = "inline",
 ) -> PopulationResult:
     """Build and run one population; returns its measurements.
 
@@ -169,29 +150,12 @@ def run_population(
     gateway (round-robin over the fleet — the balanced-fleet model; the
     nearest-RTT policy is exercised by the selection benches), waits for
     completion, and downloads the result.
-
-    ``shards`` > 0 runs the same workload on the sharded kernel (devices
-    homed with their gateway's region).  ``executor`` selects how shards
-    execute: ``"inline"`` — one :class:`~repro.simnet.ShardedSimulator`
-    with an exact merge (byte-identical timeline to the single-heap run);
-    ``"serial"`` / ``"process"`` — region-partitioned sub-simulations run
-    in-process or on a ``multiprocessing`` pool, with per-region ordered
-    result batches merged deterministically.
     """
     if n_gateways is None:
         n_gateways = max(2, n_devices // DEVICES_PER_GATEWAY)
-    if shards and executor in ("serial", "process"):
-        return _run_population_regions(
-            n_devices, seed, n_gateways, config, transactions_per_task,
-            shards, executor,
-        )
-    if executor != "inline":
-        raise ValueError(f"unknown executor {executor!r}")
-    sharded = shards > 0
+    _reset_peak_rss()
     t_build = time.perf_counter()
-    builder = DeploymentBuilder(
-        master_seed=seed, config=config, shards=shards if sharded else None
-    )
+    builder = DeploymentBuilder(master_seed=seed, config=config)
     builder.add_central("central")
     for g in range(n_gateways):
         builder.add_gateway(f"gw-{g}")
@@ -199,11 +163,7 @@ def run_population(
     builder.register_agent_class(EBankingAgent)
     builder.publish(ebanking_service_code())
     for i in range(n_devices):
-        builder.add_device(
-            f"dev-{i}",
-            wireless="WLAN",
-            shard=_device_shard(i, n_gateways, shards) if sharded else None,
-        )
+        builder.add_device(f"dev-{i}", wireless="WLAN")
     deployment = builder.build()
     build_wall = time.perf_counter() - t_build
 
@@ -226,14 +186,7 @@ def run_population(
         completed += 1
 
     for i in range(n_devices):
-        name = f"scale-task-{i}"
-        if sharded:
-            sim.process(
-                one_task(i), name=name,
-                shard=_device_shard(i, n_gateways, shards),
-            )
-        else:
-            sim.process(one_task(i), name=name)
+        sim.process(one_task(i), name=f"scale-task-{i}")
 
     t_run = time.perf_counter()
     sim.run()
@@ -246,134 +199,12 @@ def run_population(
     return PopulationResult(
         population=n_devices,
         gateways=n_gateways,
-        shards=shards,
-        mode="sharded" if sharded else "single",
         tasks_completed=completed,
         events_processed=sim.events_processed,
         sim_time_s=sim.now,
         build_wall_s=build_wall,
         run_wall_s=run_wall,
         events_per_sec=sim.events_processed / run_wall if run_wall > 0 else 0.0,
-        wall_per_task_s=run_wall / completed,
-        peak_rss_mb=_peak_rss_mb(),
-        cross_shard_events=getattr(sim, "cross_shard_exchanged", 0),
-    )
-
-
-def _run_region(
-    region: int,
-    shards: int,
-    n_devices: int,
-    n_gateways: int,
-    seed: int,
-    config: Optional[PDAgentConfig],
-    transactions_per_task: int,
-) -> dict[str, Any]:
-    """One gateway region as an independent sub-simulation (pool worker).
-
-    The region gets its own central/bank replicas (the shared-nothing
-    deployment model) plus the gateways and devices homed in it, keeping
-    global node names and the *global* arrival stagger so the returned
-    completion batch ``[(sim_time, device_index), ...]`` is already in
-    global timeline order.  The worker is a pure function of its arguments
-    — identical output whichever executor runs it.
-    """
-    builder = DeploymentBuilder(master_seed=seed, config=config)
-    builder.add_central("central")
-    gateways = [g for g in range(n_gateways) if g % shards == region]
-    for g in gateways:
-        builder.add_gateway(f"gw-{g}")
-    builder.add_site("bank-a", services=[BankServiceAgent(bank_name="bank-a")])
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
-    devices = [
-        i for i in range(n_devices)
-        if _device_shard(i, n_gateways, shards) == region
-    ]
-    for i in devices:
-        builder.add_device(f"dev-{i}", wireless="WLAN")
-    deployment = builder.build()
-    sim = deployment.sim
-    txns = make_transactions(["bank-a"], transactions_per_task)
-    stops = [Stop("bank-a", task="banking")]
-    completions: list[tuple[float, int]] = []
-
-    def one_task(i: int) -> Generator:
-        platform = deployment.platform(f"dev-{i}")
-        gateway = f"gw-{i % n_gateways}"
-        yield sim.timeout(i * ARRIVAL_SPACING_S)
-        yield from platform.subscribe("ebanking", gateway=gateway)
-        handle = yield from platform.deploy(
-            "ebanking", {"transactions": txns}, stops=stops, gateway=gateway
-        )
-        yield deployment.gateway(handle.gateway).ticket(handle.ticket).completed
-        yield from platform.collect(handle)
-        completions.append((sim.now, i))
-
-    for i in devices:
-        sim.process(one_task(i), name=f"scale-task-{i}")
-    sim.run()
-    if len(completions) != len(devices):
-        raise RuntimeError(
-            f"region {region}: only {len(completions)}/{len(devices)} "
-            "tasks completed"
-        )
-    return {
-        "region": region,
-        "events": sim.events_processed,
-        "sim_time": sim.now,
-        "completions": sorted(completions),
-    }
-
-
-def _run_population_regions(
-    n_devices: int,
-    seed: int,
-    n_gateways: int,
-    config: Optional[PDAgentConfig],
-    transactions_per_task: int,
-    shards: int,
-    executor: str,
-) -> PopulationResult:
-    """Region-partitioned executor: K independent sub-simulations whose
-    ordered completion batches are merged deterministically.
-
-    Unlike the inline sharded kernel this is *not* timeline-identical to
-    the single-heap run (each region replicates the shared infrastructure),
-    but it is executor-invariant: the serial and process executors produce
-    identical merged batches, events, and sim times for the same arguments.
-    """
-    t_run = time.perf_counter()
-    calls = [
-        (
-            _run_region,
-            (region, shards, n_devices, n_gateways, seed, config,
-             transactions_per_task),
-        )
-        for region in range(shards)
-    ]
-    batches = run_sharded(
-        calls, processes=shards if executor == "process" else 0
-    )
-    run_wall = time.perf_counter() - t_run
-    merged = list(heapq.merge(*(batch["completions"] for batch in batches)))
-    completed = len(merged)
-    if completed != n_devices:
-        raise RuntimeError(
-            f"population {n_devices}: only {completed} tasks completed"
-        )
-    events = sum(batch["events"] for batch in batches)
-    return PopulationResult(
-        population=n_devices,
-        gateways=n_gateways,
-        shards=shards,
-        mode="sharded-mp" if executor == "process" else "sharded-serial",
-        tasks_completed=completed,
-        events_processed=events,
-        sim_time_s=max(batch["sim_time"] for batch in batches),
-        build_wall_s=0.0,
-        run_wall_s=run_wall,
-        events_per_sec=events / run_wall if run_wall > 0 else 0.0,
         wall_per_task_s=run_wall / completed,
         peak_rss_mb=_peak_rss_mb(),
     )
@@ -383,30 +214,12 @@ def run_scale_sweep(
     populations: tuple[int, ...] = DEFAULT_POPULATIONS,
     seed: int = 0,
     config: Optional[PDAgentConfig] = None,
-    shards: int = 0,
-    executor: str = "inline",
-    sharded_populations: tuple[tuple[int, int], ...] = (),
 ) -> ScaleSweepResult:
-    """Run the device-population sweep at each size in ``populations``.
-
-    With ``shards`` set, every population runs sharded at that count.
-    ``sharded_populations`` appends explicit (population, shards) rows —
-    the 20k/50k axis of ``BENCH_scale.json``.
-    """
+    """Run the device-population sweep at each size in ``populations``."""
     result = ScaleSweepResult(seed=seed)
     for population in populations:
         result.populations.append(
-            run_population(
-                population, seed=seed, config=config, shards=shards,
-                executor=executor,
-            )
-        )
-    for population, n_shards in sharded_populations:
-        result.populations.append(
-            run_population(
-                population, seed=seed, config=config, shards=n_shards,
-                executor=executor,
-            )
+            run_population(population, seed=seed, config=config)
         )
     return result
 
@@ -422,37 +235,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="run every population on a sharded kernel with N shards",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("inline", "serial", "process"),
-        default="inline",
-        help="sharded executor: inline exact merge, or region-partitioned "
-        "serial/multiprocessing sub-simulations",
-    )
-    parser.add_argument(
-        "--sharded-axis",
-        action="store_true",
-        help="append the large sharded rows "
-        + ", ".join(f"{n}@{k}sh" for n, k in SHARDED_POPULATIONS),
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="write the sweep result as JSON (e.g. BENCH_scale.json)",
     )
     args = parser.parse_args(argv)
-    result = run_scale_sweep(
-        tuple(args.populations),
-        seed=args.seed,
-        shards=args.shards,
-        executor=args.executor,
-        sharded_populations=SHARDED_POPULATIONS if args.sharded_axis else (),
-    )
+    result = run_scale_sweep(tuple(args.populations), seed=args.seed)
     print(result.render())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

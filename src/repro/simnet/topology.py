@@ -24,7 +24,6 @@ from typing import Any, Generator, Iterable, Optional
 from .kernel import Simulator
 from .link import Link, LinkSpec
 from .node import Node
-from .primitives import Event, EventState
 from .rng import StreamFactory
 from .trace import Tracer
 from repro.telemetry.spans import Telemetry
@@ -87,9 +86,6 @@ class Network:
         self._routes: dict[tuple[str, str], list[str]] = {}
         self._route_links: dict[tuple[str, str], list[Link]] = {}
         self._bottlenecks: dict[tuple[str, str], float] = {}
-        # Shard (gateway-region) assignment: address -> shard index.
-        # Unassigned nodes (backbone, central, bank sites) are infrastructure.
-        self._shards: dict[str, int] = {}
 
     def _invalidate_routes(self) -> None:
         self._routes.clear()
@@ -236,36 +232,6 @@ class Network:
         self._live_changed(src, dst, up)
         self._invalidate_routes()
 
-    # -- shard (region) assignment -------------------------------------------
-    def assign_shard(self, address: str, shard: int) -> None:
-        """Home ``address`` in gateway region ``shard``.
-
-        Shard assignment is a locality hint for the sharded kernel; it
-        never changes routes or delivery semantics (the sharded kernel's
-        merge is exact regardless of assignment).
-        """
-        if address not in self._nodes:
-            raise KeyError(f"unknown node {address!r}")
-        if shard < 0:
-            raise ValueError(f"shard index must be >= 0, got {shard!r}")
-        self._shards[address] = int(shard)
-
-    def shard_of(self, address: str) -> Optional[int]:
-        """Home shard of a node, or None for unassigned infrastructure."""
-        return self._shards.get(address)
-
-    def conservative_lookahead(self) -> float:
-        """Minimum base link latency — the conservative lookahead bound.
-
-        Any cross-shard delivery traverses at least one link, so no event
-        posted now can *nominally* land in another region sooner than this.
-        The sharded kernel uses it only to window the exchange; exactness
-        never depends on it (jitter models may undercut the base latency).
-        """
-        if not self._links:
-            return 0.0
-        return min(link.spec.latency for link in self._links.values())
-
     # -- routing ------------------------------------------------------------
     def route(self, src: str, dst: str) -> list[str]:
         """Shortest-latency node path from ``src`` to ``dst`` (inclusive)."""
@@ -406,32 +372,9 @@ class Network:
         dgram = Datagram(src, dst, payload, size, self.sim.now)
         self.sim.process(self._deliver(dgram), name=f"dgram:{src}->{dst}")
 
-    def _delivery_timeout(self, src: str, dst: str, delay: float) -> Event:
-        """Event firing after ``delay``, homed at the *destination's* shard.
-
-        On the single-heap kernel this is a plain timeout.  On a sharded
-        kernel, deliveries whose destination lives in another region go
-        through the cross-shard exchange so the wake-up lands on the
-        destination's calendar; the exchange consumes exactly one sequence
-        number, like the timeout it replaces, keeping the merged event order
-        byte-identical with the single-heap run.
-        """
-        sim = self.sim
-        post = getattr(sim, "post_cross_shard", None)
-        if post is not None:
-            dst_shard = self._shards.get(dst)
-            if dst_shard is not None and dst_shard != sim.active_shard:
-                event = Event(sim)
-                event._ok = True
-                event._value = None
-                event._state = EventState.TRIGGERED
-                post(event, delay, dst_shard)
-                return event
-        return sim.timeout(delay)
-
     def _deliver(self, dgram: Datagram) -> Generator:
         delay, _ = self.sample_path_delay(dgram.src, dgram.dst, dgram.size)
-        yield self._delivery_timeout(dgram.src, dgram.dst, delay)
+        yield self.sim.timeout(delay)
         self.node(dgram.dst).datagrams.put(dgram)
         self.tracer.count("datagrams_delivered")
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel (events, processes, conditions)."""
 
+import random
+
 import pytest
 
 from repro.simnet.kernel import Simulator
@@ -381,6 +383,108 @@ class TestRunSemantics:
             return log
 
         assert build_and_run() == build_and_run()
+
+
+class TestOrdering:
+    """Dispatch order on the one event calendar: (time, priority, FIFO)."""
+
+    def test_priority_events_preempt_fifo(self, sim):
+        log = []
+        procs = []
+
+        def sleeper(tag):
+            try:
+                yield sim.timeout(10.0)
+                log.append(("slept", tag))
+            except InterruptException:
+                log.append(("interrupted", tag))
+
+        def other():
+            yield sim.timeout(5.0)
+            log.append("other")
+
+        def interrupter():
+            yield sim.timeout(5.0)
+            for proc in procs:
+                proc.interrupt("stop")
+            log.append("interrupter-done")
+
+        # Interrupter first, so its t=5 timeout dispatches before "other"'s
+        # (FIFO).  The interrupts it schedules are *priority* events at the
+        # same timestamp, so they must still beat "other" despite being
+        # scheduled last.
+        sim.process(interrupter())
+        procs.extend(sim.process(sleeper(i)) for i in range(3))
+        sim.process(other())
+        sim.run()
+        assert log == [
+            "interrupter-done",
+            ("interrupted", 0),
+            ("interrupted", 1),
+            ("interrupted", 2),
+            "other",
+        ]
+
+    def test_randomized_trace_replays_identically(self):
+        """Mini-fuzz: a seeded random workload with same-time ties and
+        nested spawns produces the same dispatch trace on every run."""
+
+        def trace():
+            sim = Simulator()
+            log = []
+
+            def worker(rng, tag, depth):
+                for _ in range(rng.randint(1, 4)):
+                    delay = rng.choice([0.0, 0.5, 1.0, 1.0, 2.5])
+                    yield sim.timeout(delay)
+                    log.append((sim.now, tag))
+                    if depth < 2 and rng.random() < 0.4:
+                        child = f"{tag}.{len(log)}"
+                        sim.process(worker(rng, child, depth + 1))
+
+            master = random.Random(2026)
+            for i in range(12):
+                rng = random.Random(master.randint(0, 2**31))
+                sim.process(worker(rng, f"w{i}", 0))
+            sim.run()
+            return log
+
+        first = trace()
+        assert first == trace()
+        assert len(first) > 20  # the workload actually did something
+
+    def test_peek_is_monotone_across_step_drain(self, sim):
+        values = []
+
+        def worker(delay):
+            yield sim.timeout(delay)
+            values.append((sim.now, delay))
+
+        for delay in (3.0, 1.0, 2.0):
+            sim.process(worker(delay))
+        seen = []
+        while sim.peek() != float("inf"):
+            seen.append(sim.peek())
+            sim.step()
+        assert seen == sorted(seen)
+        assert values == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+        with pytest.raises(IndexError):
+            sim.step()
+
+    def test_run_until_deadline_stops_mid_stream(self, sim):
+        log = []
+
+        def worker():
+            while True:
+                yield sim.timeout(1.0)
+                log.append(sim.now)
+
+        sim.process(worker())
+        sim.run(until=3.5)
+        assert sim.now == 3.5
+        assert log == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            sim.run(until=1.0)
 
 
 class TestRunLoopBugfixes:

@@ -8,6 +8,10 @@ reassociation, or cache state into the timeline fails loudly.
 """
 
 import io
+import os
+import sys
+
+import pytest
 
 from repro.experiments.scale import _maxrss_bytes, run_population
 from repro.experiments.scenario import build_scenario, run_pdagent_batch
@@ -51,42 +55,6 @@ class TestGoldenSeedDeterminism:
         assert exports[0] == exports[1]
         assert exports[0]  # non-empty
         assert event_counts[0] == event_counts[1]
-
-
-class TestShardedScaleIdentity:
-    def test_sharded_run_identical_timeline(self):
-        """The sharded kernel replays the single-heap timeline exactly —
-        same event count, same end time, same completions."""
-        single = run_population(POP, seed=0, n_gateways=4)
-        sharded = run_population(POP, seed=0, n_gateways=4, shards=4)
-        assert sharded.mode == "sharded"
-        assert sharded.shards == 4
-        assert sharded.events_processed == single.events_processed
-        assert sharded.sim_time_s == single.sim_time_s
-        assert sharded.tasks_completed == single.tasks_completed == POP
-        assert sharded.events_per_sec_per_shard > 0
-
-    def test_one_shard_identical_timeline(self):
-        single = run_population(POP, seed=2)
-        sharded = run_population(POP, seed=2, shards=1)
-        assert sharded.events_processed == single.events_processed
-        assert sharded.sim_time_s == single.sim_time_s
-
-    def test_region_executors_serial_vs_process_identical(self):
-        """The region-partitioned executor is executor-invariant: the
-        serial and multiprocessing pools produce identical merged results
-        (the deterministic-merge contract for worker batches)."""
-        serial = run_population(
-            POP, seed=0, n_gateways=4, shards=2, executor="serial"
-        )
-        pooled = run_population(
-            POP, seed=0, n_gateways=4, shards=2, executor="process"
-        )
-        assert serial.mode == "sharded-serial"
-        assert pooled.mode == "sharded-mp"
-        assert serial.events_processed == pooled.events_processed
-        assert serial.sim_time_s == pooled.sim_time_s
-        assert serial.tasks_completed == pooled.tasks_completed == POP
 
 
 class TestScaleHarness:
@@ -134,3 +102,26 @@ class TestPeakRssUnits:
         # A running pytest process holds tens of MiB; a unit slip would put
         # this three orders of magnitude off in either direction.
         assert 10 * 1024 * 1024 < rss < 100 * 1024 * 1024 * 1024
+
+
+def _current_rss_mb() -> float:
+    with open("/proc/self/statm") as fh:
+        resident_pages = int(fh.read().split()[1])
+    return resident_pages * os.sysconf("SC_PAGE_SIZE") / (1024.0 * 1024.0)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or not os.access("/proc/self/clear_refs", os.W_OK),
+    reason="peak-RSS reset needs a writable /proc/self/clear_refs",
+)
+class TestPeakRssPerRow:
+    def test_row_does_not_inherit_an_earlier_peak(self):
+        """Each sweep row reports its own peak, not the process lifetime's:
+        a 200 MiB buffer freed before the run must not show in the row."""
+        alloc_mb = 200
+        before_mb = _current_rss_mb()
+        blob = b"x" * (alloc_mb * 1024 * 1024)  # touches every page
+        del blob
+        result = run_population(POP, seed=0)
+        assert result.peak_rss_mb < before_mb + alloc_mb / 2

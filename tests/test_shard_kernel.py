@@ -1,36 +1,22 @@
-"""Ordering-parity tests: ShardedSimulator vs the single-heap kernel.
+"""Run-loop ordering and bugfix checks, kept under their historical names.
 
-The sharded kernel's contract is *exact* merge order: on the same inputs it
-must process the identical event sequence as :class:`Simulator` —
-same-timestamp FIFO, priority (interrupt) ordering, run/step/peek
-semantics, and the run-loop bugfix behaviours — for one shard and for many
-shards with work pinned across them.
+These once compared a sharded kernel against the single-heap one.  Only the
+single-heap :class:`Simulator` remains, so each check now runs on it alone:
+same-timestamp FIFO across many processes, a stop event whose callbacks
+drain before the halt, a failed event re-raised by ``run(until=...)``, and
+invalid delays rejected at schedule time.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.simnet import ShardedSimulator, Simulator
-from repro.simnet.shard import run_sharded
+from repro.simnet import Simulator
 
 
 def _kernels():
-    """The parity set: single heap, one shard, several shards."""
-    return [
-        ("single", lambda: Simulator()),
-        ("sharded-1", lambda: ShardedSimulator(n_shards=1)),
-        ("sharded-3", lambda: ShardedSimulator(n_shards=3)),
-    ]
-
-
-def _spawn(sim, gen, shard=None, name=None):
-    """Pin to a shard when the kernel supports it; plain process otherwise."""
-    if isinstance(sim, ShardedSimulator) and shard is not None:
-        return sim.process(gen, name=name, shard=shard % sim.n_shards)
-    return sim.process(gen, name=name)
+    """The kernels under test: the single heap."""
+    return [("single", lambda: Simulator())]
 
 
 class TestOrderingParity:
@@ -39,129 +25,21 @@ class TestOrderingParity:
         sim = make()
         log = []
 
-        def worker(tag, shard):
+        def worker(tag):
             yield sim.timeout(1.0)
             log.append(tag)
 
         for i in range(9):
-            _spawn(sim, worker(i, i), shard=i)
+            sim.process(worker(i))
         sim.run()
         assert log == list(range(9)), label
 
-    @pytest.mark.parametrize("label,make", _kernels())
-    def test_priority_events_preempt_fifo(self, label, make):
-        sim = make()
-        log = []
-        procs = []
-
-        def sleeper(tag, shard):
-            try:
-                yield sim.timeout(10.0)
-                log.append(("slept", tag))
-            except Exception:
-                log.append(("interrupted", tag))
-
-        def other(shard):
-            yield sim.timeout(5.0)
-            log.append("other")
-
-        def interrupter():
-            yield sim.timeout(5.0)
-            for proc in procs:
-                proc.interrupt("stop")
-            log.append("interrupter-done")
-
-        # Interrupter first, so its t=5 timeout dispatches before "other"'s
-        # (FIFO).  The interrupts it schedules are *priority* events at the
-        # same timestamp, so they must still beat "other" despite being
-        # scheduled last.
-        _spawn(sim, interrupter(), shard=2)
-        procs.extend(_spawn(sim, sleeper(i, i), shard=i) for i in range(3))
-        _spawn(sim, other(0), shard=0)
-        sim.run()
-        assert log == [
-            "interrupter-done",
-            ("interrupted", 0),
-            ("interrupted", 1),
-            ("interrupted", 2),
-            "other",
-        ], label
-
-    def test_randomized_trace_identical_across_kernels(self):
-        """Mini-fuzz: a seeded random workload produces the same dispatch
-        trace on the single heap, one shard, and three shards."""
-
-        def trace(make):
-            sim = make()
-            log = []
-
-            def worker(rng, tag, depth, shard):
-                for _ in range(rng.randint(1, 4)):
-                    delay = rng.choice([0.0, 0.5, 1.0, 1.0, 2.5])
-                    yield sim.timeout(delay)
-                    log.append((sim.now, tag))
-                    if depth < 2 and rng.random() < 0.4:
-                        child = f"{tag}.{len(log)}"
-                        _spawn(
-                            sim,
-                            worker(rng, child, depth + 1, (shard + 1) % 3),
-                            shard=shard + 1,
-                        )
-
-            master = random.Random(2026)
-            for i in range(12):
-                rng = random.Random(master.randint(0, 2**31))
-                _spawn(sim, worker(rng, f"w{i}", 0, i % 3), shard=i)
-            sim.run()
-            return log
-
-        traces = [trace(make) for _, make in _kernels()]
-        assert traces[0] == traces[1] == traces[2]
-        assert len(traces[0]) > 20  # the workload actually did something
-
-    @pytest.mark.parametrize("label,make", _kernels())
-    def test_step_and_peek_parity(self, label, make):
-        sim = make()
-        values = []
-
-        def worker(delay, shard):
-            yield sim.timeout(delay)
-            values.append((sim.now, delay))
-
-        for i, delay in enumerate([3.0, 1.0, 2.0]):
-            _spawn(sim, worker(delay, i), shard=i)
-        seen = []
-        while sim.peek() != float("inf"):
-            seen.append(sim.peek())
-            sim.step()
-        assert seen == sorted(seen), label
-        assert values == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], label
-        with pytest.raises(IndexError):
-            sim.step()
-
-    @pytest.mark.parametrize("label,make", _kernels())
-    def test_run_until_deadline_parity(self, label, make):
-        sim = make()
-        log = []
-
-        def worker(shard):
-            while True:
-                yield sim.timeout(1.0)
-                log.append(sim.now)
-
-        _spawn(sim, worker(1), shard=1)
-        sim.run(until=3.5)
-        assert sim.now == 3.5, label
-        assert log == [1.0, 2.0, 3.0], label
-        with pytest.raises(ValueError):
-            sim.run(until=1.0)
-
 
 class TestShardedRunLoopBugfixParity:
-    """The kernel run-loop bugfixes hold on the sharded kernel too."""
+    """The kernel run-loop bugfixes, driven by several processes at once."""
 
     def test_stop_event_callbacks_drain_before_halt(self):
-        sim = ShardedSimulator(n_shards=3)
+        sim = Simulator()
         stop = sim.event()
         log = []
 
@@ -169,18 +47,18 @@ class TestShardedRunLoopBugfixParity:
             yield sim.timeout(0.0)
             stop.add_callback(lambda ev: log.append("late-callback"))
 
-        sim.process(waiter(), shard=1)
+        sim.process(waiter())
 
         def firer():
             yield sim.timeout(1.0)
             stop.succeed("done")
 
-        sim.process(firer(), shard=2)
+        sim.process(firer())
         assert sim.run(until=stop) == "done"
         assert log == ["late-callback"]
 
     def test_run_until_already_processed_failed_event_raises(self):
-        sim = ShardedSimulator(n_shards=2)
+        sim = Simulator()
         ev = sim.event()
         ev.fail(ValueError("boom"))
         sim.run()
@@ -188,7 +66,7 @@ class TestShardedRunLoopBugfixParity:
             sim.run(until=ev)
 
     def test_invalid_delays_rejected(self):
-        sim = ShardedSimulator(n_shards=2)
+        sim = Simulator()
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
         with pytest.raises(ValueError):
@@ -196,124 +74,4 @@ class TestShardedRunLoopBugfixParity:
         with pytest.raises(ValueError):
             sim._schedule_event(sim.event(), delay=-0.5)
         with pytest.raises(ValueError):
-            sim.post_cross_shard(sim.event(), float("nan"), shard=1)
-
-
-class TestCrossShardExchange:
-    def test_post_cross_shard_merges_in_order(self):
-        sim = ShardedSimulator(n_shards=2, lookahead=1.0)
-        log = []
-
-        def local(shard):
-            for _ in range(6):
-                yield sim.timeout(0.7)
-                log.append(("local", shard, sim.now))
-
-        sim.process(local(0), shard=0)
-        sim.process(local(1), shard=1)
-
-        def remote_sender():
-            # Far-future deliveries into shard 1 go through the exchange.
-            for i in range(3):
-                ev = sim.event()
-                ev._ok = True
-                ev._value = i
-                from repro.simnet.primitives import EventState
-
-                ev._state = EventState.TRIGGERED
-                ev.add_callback(lambda e: log.append(("remote", e.value, sim.now)))
-                sim.post_cross_shard(ev, delay=2.0 + i, shard=1)
-                yield sim.timeout(0.1)
-
-        sim.process(remote_sender(), shard=0)
-        assert sim.cross_shard_exchanged == 0
-        sim.run()
-        assert sim.cross_shard_exchanged == 3
-        times = [entry[-1] for entry in log]
-        assert times == sorted(times)
-        # Posted at t=0.0/0.1/0.2 with delays 2/3/4 → delivered at the
-        # absolute times below, interleaved with local traffic in order.
-        assert [e for e in log if e[0] == "remote"] == [
-            ("remote", 0, 2.0),
-            ("remote", 1, 3.1),
-            ("remote", 2, pytest.approx(4.2)),
-        ]
-
-    def test_short_delay_bypasses_exchange(self):
-        sim = ShardedSimulator(n_shards=2, lookahead=5.0)
-        fired = []
-        ev = sim.event()
-        ev.add_callback(lambda e: fired.append(sim.now))
-        ev.succeed()  # lands in shard 0 (active) immediately
-        sim.post_cross_shard(sim.timeout(0.0), delay=1.0, shard=1)
-        assert sim.cross_shard_exchanged == 0  # 1.0 < lookahead: direct insert
-        sim.run()
-        assert fired == [0.0]
-
-    def test_pending_per_shard_counts_exchange(self):
-        sim = ShardedSimulator(n_shards=3, lookahead=1.0)
-        sim.timeout(0.5, shard=0)
-        sim.timeout(0.5, shard=2)
-        sim.post_cross_shard(sim.event().succeed(), delay=4.0, shard=1)
-        # succeed() also scheduled the event once normally (shard 0);
-        # the exchange copy counts toward shard 1.
-        assert sim.pending_per_shard() == [2, 1, 1]
-
-    def test_zero_lookahead_is_exact_and_unwindowed(self):
-        sim = ShardedSimulator(n_shards=2, lookahead=0.0)
-        log = []
-        ev = sim.timeout(3.0, value="x")
-        ev.add_callback(lambda e: log.append((sim.now, "direct")))
-        other = sim.event()
-        other._ok = True
-        other._value = None
-        from repro.simnet.primitives import EventState
-
-        other._state = EventState.TRIGGERED
-        other.add_callback(lambda e: log.append((sim.now, "posted")))
-        sim.post_cross_shard(other, delay=2.0, shard=1)
-        sim.run()
-        assert log == [(2.0, "posted"), (3.0, "direct")]
-        assert sim.cross_shard_exchanged == 0
-
-
-class TestShardValidation:
-    def test_bad_shard_counts(self):
-        with pytest.raises(ValueError):
-            ShardedSimulator(n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedSimulator(n_shards=2, lookahead=-1.0)
-
-    def test_out_of_range_shard_pin(self):
-        sim = ShardedSimulator(n_shards=2)
-
-        def noop():
-            yield sim.timeout(0.0)
-
-        with pytest.raises(ValueError):
-            sim.process(noop(), shard=5)
-        with pytest.raises(ValueError):
-            sim.timeout(1.0, shard=-1)
-
-
-def _square(x):  # module-level: picklable for the process pool
-    return x * x
-
-
-class TestRunSharded:
-    def test_inline_matches_submission_order(self):
-        assert run_sharded([(_square, (i,)) for i in range(6)]) == [
-            0,
-            1,
-            4,
-            9,
-            16,
-            25,
-        ]
-
-    def test_thunks_without_args(self):
-        assert run_sharded([lambda: 1, lambda: 2]) == [1, 2]
-
-    def test_process_pool_matches_inline(self):
-        calls = [(_square, (i,)) for i in range(8)]
-        assert run_sharded(calls, processes=4) == run_sharded(calls)
+            sim._schedule_event(sim.event(), delay=float("nan"))

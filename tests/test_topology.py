@@ -220,15 +220,12 @@ class TestDatagramsAndPing:
 
 
 class TestShardAssignment:
-    """Region (shard) assignment, region-scoped routing, and cross-shard
-    delivery homing."""
+    """Datagram delivery on the hub-and-spoke shape the population runs
+    use: every hop is a plain timeout on the one kernel."""
 
-    def _star(self, shards=None):
+    def _star(self):
         """Hub-and-spoke: backbone + 2 gateways + 4 devices + 1 site."""
-        from repro.simnet import ShardedSimulator
-
-        sim = ShardedSimulator(n_shards=shards) if shards else None
-        net = Network(sim=sim, master_seed=0)
+        net = Network(master_seed=0)
         net.add_node("backbone", kind="router")
         net.add_node("bank", kind="site")
         net.add_duplex_link("bank", "backbone", spec(latency=0.05))
@@ -240,81 +237,12 @@ class TestShardAssignment:
             net.add_duplex_link(f"dev-{i}", "backbone", spec(latency=0.1))
         return net
 
-    def _assign(self, net, shards=2):
-        for g in range(2):
-            net.assign_shard(f"gw-{g}", g % shards)
-        for i in range(4):
-            net.assign_shard(f"dev-{i}", i % shards)
-
-    def test_assignment_validation(self):
-        net = self._star()
-        with pytest.raises(KeyError):
-            net.assign_shard("nope", 0)
-        with pytest.raises(ValueError):
-            net.assign_shard("dev-0", -1)
-        assert net.shard_of("dev-0") is None
-        net.assign_shard("dev-0", 3)
-        assert net.shard_of("dev-0") == 3
-        assert net.shard_of("backbone") is None  # infrastructure
-
-    def test_region_routes_match_full_graph(self):
-        """Region-scoped routing returns the same paths the full graph
-        would — for same-region, infra, and cross-region endpoints."""
-        plain = self._star()
-        regioned = self._star()
-        self._assign(regioned)
-        pairs = (
-            ("dev-0", "gw-0"),      # same region
-            ("dev-1", "gw-1"),      # same region
-            ("dev-0", "bank"),      # region <-> infrastructure
-            ("bank", "dev-3"),      # infrastructure <-> region
-            ("dev-0", "dev-1"),     # cross-region (full-graph fallback)
-            ("gw-0", "gw-1"),       # cross-region gateways
-            ("bank", "backbone"),   # infra <-> infra
-        )
-        for src, dst in pairs:
-            assert regioned.route(src, dst) == plain.route(src, dst), (src, dst)
-
-    def test_route_cache_invalidated_by_assignment(self):
-        net = self._star()
-        before = net.route("dev-0", "gw-0")
-        self._assign(net)
-        assert net.route("dev-0", "gw-0") == before
-
-    def test_conservative_lookahead_is_min_link_latency(self):
-        net = self._star()
-        assert net.conservative_lookahead() == pytest.approx(0.02)
-        empty = Network(master_seed=0)
-        assert empty.conservative_lookahead() == 0.0
-
-    def test_cross_shard_datagram_goes_through_exchange(self):
-        """A datagram whose destination is homed in another region rides
-        the cross-shard exchange; delivery still lands in the mailbox."""
-        net = self._star(shards=2)
-        self._assign(net)
-        net.sim.lookahead = net.conservative_lookahead()
-        # dev-0 (shard 0) -> gw-1 (shard 1): destination owned elsewhere.
-        net.send_datagram("dev-0", "gw-1", payload="x")
-        net.sim.run()
-        box = net.node("gw-1").datagrams
-        assert len(box.items) == 1
-        assert net.sim.cross_shard_exchanged >= 1
-
-    def test_same_shard_datagram_bypasses_exchange(self):
-        net = self._star(shards=2)
-        self._assign(net)
-        net.sim.lookahead = net.conservative_lookahead()
-        net.send_datagram("dev-0", "gw-0", payload="x")  # both shard 0
-        net.sim.run()
-        assert len(net.node("gw-0").datagrams.items) == 1
-        assert net.sim.cross_shard_exchanged == 0
-
     def test_delivery_timeout_single_kernel_is_plain_timeout(self):
         net = self._star()
-        self._assign(net)  # assignments without a sharded kernel are inert
         net.send_datagram("dev-0", "gw-1", payload="x")
         net.sim.run()
         assert len(net.node("gw-1").datagrams.items) == 1
+        assert net.sim.now == pytest.approx(0.1 + 0.02, abs=1e-3)
 
 
 # ---------------------------------------------------------------- route oracle
