@@ -79,9 +79,14 @@ def codec_names() -> list[str]:
 
 # Frame memo: codecs are stateless pure functions, so identical inputs
 # always produce identical frames — and the platform compresses the *same*
-# service code / agent state for every device in a population sweep.  FIFO
-# eviction bounds memory; correctness does not depend on hit rate.
+# service code / agent state for every device in a population sweep.  The
+# memo also runs backwards: a frame decodes to exactly one plaintext, so
+# ``decompress`` of a frame this process just built (a gateway unpacking a
+# PI the simulated device packed) is a lookup by full-frame equality.  FIFO
+# eviction bounds memory and drops both directions together (``0`` turns
+# both off); correctness does not depend on hit rate.
 _FRAME_CACHE: dict[tuple[str, bytes], bytes] = {}
+_PLAIN_BY_FRAME: dict[bytes, bytes] = {}
 _FRAME_CACHE_MAX = 512
 
 
@@ -106,13 +111,20 @@ def compress(data: bytes, codec: str = "lzss") -> bytes:
         body = chosen.encode(data)
     frame = _HEADER.pack(_MAGIC, chosen.codec_id, len(data)) + body
     _FRAME_CACHE[key] = frame
+    _PLAIN_BY_FRAME[frame] = data
     while len(_FRAME_CACHE) > _FRAME_CACHE_MAX:
-        _FRAME_CACHE.pop(next(iter(_FRAME_CACHE)))
+        # Two keys can share one frame (the null fallback); evicting either
+        # drops the reverse entry, which only costs the other a decode.
+        _PLAIN_BY_FRAME.pop(_FRAME_CACHE.pop(next(iter(_FRAME_CACHE))), None)
     return frame
 
 
 def decompress(frame: bytes) -> bytes:
     """Inverse of :func:`compress`."""
+    frame = bytes(frame)
+    plain = _PLAIN_BY_FRAME.get(frame)
+    if plain is not None:
+        return plain
     if len(frame) < _HEADER.size:
         raise CompressionError("frame shorter than header")
     magic, codec_id, length = _HEADER.unpack_from(frame)

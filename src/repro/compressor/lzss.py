@@ -12,12 +12,14 @@ Stream format (MSB-first bits):
 
 The match finder is a hash chain over 3-byte prefixes (most recent
 candidate first, walk bounded by ``_MAX_CHAIN``).  The chains for the whole
-buffer are precomputed in one vectorized pass — a stable argsort groups
-equal hashes while keeping positions ascending, which links every position
-to its nearest earlier same-hash position — so the encode loop does no
-per-position bookkeeping at all: positions covered by an emitted match are
-skipped outright.  Match extension compares 8-byte slices before falling
-back to the byte tail, and both directions keep their bit accumulator in
+buffer are precomputed in one vectorized pass — a stable (radix) argsort
+of the 16-bit hashes groups equal hashes while keeping positions
+ascending, which links every position to its nearest earlier same-hash
+position — so the encode loop does no per-position bookkeeping at all:
+positions covered by an emitted match are skipped outright.  Each
+candidate is first compared over the whole ``limit`` span in one slice
+compare; only a shorter match is extended, 8-byte slices before the
+byte tail, and both directions keep their bit accumulator in
 local integers instead of going through :mod:`.bitio`; the codec sits on
 the per-message hot path and per-position work dominated its profile.
 """
@@ -41,8 +43,12 @@ def _prev_same_hash(data: bytes, n: int) -> list[int]:
     position enumerates earlier same-hash candidates nearest-first,
     exactly like an incrementally-built head/prev chain table.
     """
-    buf = _np.frombuffer(data, dtype=_np.uint8).astype(_np.int32)
-    hashes = (buf[:-2] * 131 + buf[1:-1] * 31 + buf[2:]) & 0xFFFF
+    # The hash is at most 255*131 + 255*31 + 255 = 41565 < 2**16, so it fits
+    # ``uint16`` exactly (the ``& 0xFFFF`` mask never bites), and on a
+    # ``uint16`` key the stable argsort is a radix sort (same order, several
+    # times faster than the timsort numpy uses for ``int32``).
+    buf = _np.frombuffer(data, dtype=_np.uint8).astype(_np.uint16)
+    hashes = buf[:-2] * 131 + buf[1:-1] * 31 + buf[2:]
     order = _np.argsort(hashes, kind="stable")
     ordered = hashes[order]
     same = ordered[1:] == ordered[:-1]
@@ -90,6 +96,13 @@ class LzssCodec:
                             best_len == 0
                             or data[candidate + best_len] == data[i + best_len]
                         ):
+                            # A full-span match is the longest possible:
+                            # one compare settles it (repetitive XML hits
+                            # this often).
+                            if data[candidate : candidate + limit] == data[i : i + limit]:
+                                best_len = limit
+                                best_dist = i - candidate
+                                break
                             # Extend: whole 8-byte slices first (one C-level
                             # compare each), then the byte tail.
                             length = 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compressor import api as compressor_api
 from repro.compressor import (
     CompressionError,
     codec_names,
@@ -15,6 +16,20 @@ from repro.compressor import (
 from repro.compressor.bitio import BitReader, BitWriter
 from repro.compressor.huffman import canonical_codes, code_lengths
 from repro.compressor.lzss import MAX_MATCH, MIN_MATCH, LzssCodec
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _frame_memo_off():
+    """Every ``decompress(compress(x))`` here must run the real encoder and
+    decoder: with the frame memo on, ``decompress`` would hand back the
+    plaintext ``compress`` stored.  Memo behaviour itself is tested in
+    ``tests/test_differential.py``.  (Module scope: hypothesis rejects
+    function-scoped fixtures.)"""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compressor_api, "_FRAME_CACHE", {})
+        mp.setattr(compressor_api, "_PLAIN_BY_FRAME", {})
+        mp.setattr(compressor_api, "_FRAME_CACHE_MAX", 0)
+        yield
 
 
 class TestBitIO:
