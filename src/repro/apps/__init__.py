@@ -7,7 +7,14 @@
 * :mod:`~repro.apps.ridedispatch` — latency-critical geo-sharded matching;
 * :mod:`~repro.apps.auction` — deadline-critical sniping (PI deadlines);
 * :mod:`~repro.apps.jobfarm` — throughput-critical fan-out/merge farming.
+
+:func:`add_app_sites` wires the six archetypes the swarm and the diversity
+capstone mix into a deployment.
 """
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
 
 from .auction import (
     AuctionHouseServiceAgent,
@@ -97,4 +104,51 @@ __all__ = [
     "JobFarmAgent",
     "jobfarm_service_code",
     "make_job",
+    "add_app_sites",
 ]
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core import DeploymentBuilder
+
+
+def add_app_sites(builder: "DeploymentBuilder", sites: Sequence[str]) -> None:
+    """Add ``sites``, each hosting every archetype's service agents, then
+    register the six archetypes' agent classes and publish their code.
+
+    The archetypes are e-banking, food search, m-commerce, ride dispatch,
+    auction sniping and grid job farming; each site's food directory
+    partners with the next site in ``sites``.
+    """
+    for i, site in enumerate(sites):
+        partner = sites[(i + 1) % len(sites)] if len(sites) > 1 else ""
+        builder.add_site(
+            site,
+            services=[
+                BankServiceAgent(bank_name=site),
+                DirectoryServiceAgent(make_listings(i), partner=partner),
+                VendorServiceAgent(make_inventory(i)),
+                DriverBoardServiceAgent(make_drivers(i)),
+                AuctionHouseServiceAgent(make_lots(i)),
+                GridWorkerServiceAgent(),
+                GridForemanServiceAgent(),
+            ],
+        )
+    for cls in (
+        EBankingAgent,
+        FoodSearchAgent,
+        ShoppingAgent,
+        RideDispatchAgent,
+        AuctionSnipeAgent,
+        JobFarmAgent,
+        JobCourierAgent,
+    ):
+        builder.register_agent_class(cls)
+    for code in (
+        ebanking_service_code(),
+        foodsearch_service_code(),
+        mcommerce_service_code(),
+        ridedispatch_service_code(),
+        auction_service_code(),
+        jobfarm_service_code(),
+    ):
+        builder.publish(code)

@@ -55,8 +55,6 @@ class PDAgentConfig:
     # --- gateway-side processing ------------------------------------------
     #: Fixed servlet overhead per gateway request.
     gateway_service_time: float = 0.008
-    #: Unpack (decrypt+decompress+parse) nominal cost per KB at the gateway.
-    gateway_unpack_s_per_kb: float = 0.0012
 
     # --- result collection -----------------------------------------------------
     #: Device polling interval when using poll-based collection (seconds).
@@ -117,11 +115,9 @@ class PDAgentConfig:
     #: which the result document expires and its workspace is reclaimed.
     #: <= 0 retains results forever (the pre-TTL behaviour).
     result_ttl_s: float = 600.0
-    #: Device side: honour a 503's Retry-After (sleep, then retry the same
-    #: exchange) instead of failing immediately.  Sheds never trip the
-    #: circuit breaker either way.
-    retry_honour_retry_after: bool = True
-    #: Cap on a server-advertised Retry-After the device will actually wait.
+    #: Cap on a server-advertised Retry-After the device will actually wait
+    #: before retrying a shed (503) exchange.  Sheds never trip the circuit
+    #: breaker.
     retry_after_cap_s: float = 30.0
     #: Dedup binding retention: seconds past result reclaim (expiry or
     #: dispose) after which the task_id→ticket binding itself is dropped, so

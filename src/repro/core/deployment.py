@@ -15,7 +15,7 @@ one audited place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 from ..crypto import KeyVault
 from ..device import Device, link_profile
@@ -29,7 +29,7 @@ from ..mas import (
 from ..simnet import LinkSpec, Network
 from .config import PDAgentConfig
 from .fleet import Fleet
-from .gateway import Gateway
+from .gateway import Gateway, Ticket, ticket_origin
 from .platform import PDAgentPlatform
 from .registry import CentralServer
 from .subscription import ServiceCatalog, ServiceCode, SubscriptionDirectory
@@ -66,6 +66,29 @@ class Deployment:
 
     def mas(self, address: str) -> MobileAgentServer:
         return self.mas_servers[address]
+
+    def ticket_home(self, ticket_id: str, fallback: str) -> str:
+        """The gateway holding ``ticket_id``: the one that minted it (a
+        fleet dedup may hand a device a ticket minted elsewhere), else
+        ``fallback``."""
+        origin = ticket_origin(ticket_id)
+        return origin if origin in self.gateways else fallback
+
+    def await_final_ticket(self, ticket_id: str, gateway: str) -> Generator:
+        """Process: wait for ``ticket_id`` (deployed via ``gateway``) to
+        finalize, following supersede pointers — a locally-accepted ticket
+        the fleet reconciler later superseded finalizes "superseded" while
+        the *winner* keeps running.  Returns the last ticket waited on."""
+        gateway = self.ticket_home(ticket_id, gateway)
+        ticket: Ticket = self.gateway(gateway).ticket(ticket_id)
+        for _ in range(4):
+            yield ticket.completed
+            if ticket.status == "superseded" and ticket.superseded_by:
+                gateway = self.ticket_home(ticket.superseded_by, gateway)
+                ticket = self.gateway(gateway).ticket(ticket.superseded_by)
+                continue
+            break
+        return ticket
 
 
 class DeploymentBuilder:

@@ -75,12 +75,34 @@ __all__ = [
     "AgentCreator",
     "DocumentCreator",
     "FileDirectory",
+    "mint_ticket_id",
+    "ticket_origin",
 ]
 
 GATEWAY_PORT = 80
 #: Request header carrying the device task id: the exactly-once fast path —
 #: the gateway can dedup a retried upload before paying the unpack cost.
 TASK_ID_HEADER = "x-task-id"
+
+
+def _ticket_id_prefix(gateway: str) -> str:
+    """Every ticket id ``gateway`` mints is this prefix plus a counter."""
+    return f"{gateway}/t-"
+
+
+def mint_ticket_id(gateway: str, seq: int) -> str:
+    """Ticket id number ``seq`` minted by ``gateway``."""
+    return f"{_ticket_id_prefix(gateway)}{seq}"
+
+
+def ticket_origin(ticket_id: str) -> str:
+    """The gateway that minted ``ticket_id`` ("" if it is not a ticket id).
+
+    The origin is where the result document lives, whichever gateway
+    handed the id to the device.
+    """
+    origin, sep, _ = ticket_id.partition(_ticket_id_prefix(""))
+    return origin if sep else ""
 
 
 @dataclass
@@ -423,7 +445,7 @@ class Gateway:
         #: rebuilt on restart(); authoritative and durable under sqlite).
         self.dedup = self.storage.dedup
         self._ticket_counter = itertools.count(
-            self.storage.tickets.max_seq(f"{address}/t-") + 1
+            self.storage.tickets.max_seq(_ticket_id_prefix(address)) + 1
         )
         #: Incremented by crash(): in-flight intake handlers compare their
         #: entry epoch before minting a ticket, so a dispatch that straddled
@@ -544,7 +566,7 @@ class Gateway:
 
     def _new_ticket(self, content: PIContent) -> Ticket:
         ticket = Ticket(
-            ticket_id=f"{self.address}/t-{next(self._ticket_counter)}",
+            ticket_id=mint_ticket_id(self.address, next(self._ticket_counter)),
             agent_id="",
             device_id=content.device_id,
             service=content.service,
@@ -565,8 +587,8 @@ class Gateway:
         """Was ``ticket_id`` minted by another member of this fleet?"""
         if self.fleet is None:
             return False
-        origin, sep, _ = ticket_id.partition("/t-")
-        return bool(sep) and origin != self.address and origin in self.fleet
+        origin = ticket_origin(ticket_id)
+        return bool(origin) and origin != self.address and origin in self.fleet
 
     def _dedup_answer(self, task_id: str) -> Optional[tuple[str, str]]:
         """``(ticket_id, agent_id)`` for a retried upload, or ``None``.
@@ -1061,10 +1083,9 @@ class Gateway:
                     # extra hop, so safe even on a relayed request).
                     resp = yield from self._follow_supersede(local)
                     return resp
-                origin, sep, _ = ticket_id.partition("/t-")
+                origin = ticket_origin(ticket_id)
                 if (
                     local is None
-                    and sep
                     and origin == self.address
                     and self.fleet is not None
                 ):
@@ -1099,8 +1120,8 @@ class Gateway:
     def _follow_supersede(self, ticket: Ticket) -> Generator:
         winner = ticket.superseded_by
         self.network.tracer.count("gateway_supersede_redirects")
-        origin, sep, _ = winner.partition("/t-")
-        if not sep or origin == self.address or origin not in (self.fleet or ()):
+        origin = ticket_origin(winner)
+        if not origin or origin == self.address or origin not in (self.fleet or ()):
             return self._result_response(winner)
         resp = yield from self._relay_fetch(origin, winner)
         return resp
@@ -1272,7 +1293,7 @@ class Gateway:
             except Exception as exc:
                 return HttpResponse(409, reason=f"clone failed: {exc}")
             clone_ticket = Ticket(
-                ticket_id=f"{self.address}/t-{next(self._ticket_counter)}",
+                ticket_id=mint_ticket_id(self.address, next(self._ticket_counter)),
                 agent_id=clone_id,
                 device_id=ticket.device_id,
                 service=ticket.service,
@@ -1892,9 +1913,9 @@ class Gateway:
         per_dest: dict[str, list[Element]] = {}
         moves: list[Element] = []
         for ticket in self.storage.tickets.values():
-            origin, sep, _ = ticket.ticket_id.partition("/t-")
+            origin = ticket_origin(ticket.ticket_id)
             if (
-                sep
+                origin
                 and origin != self.address
                 and view.state(origin) == "active"
                 and ticket.status != "dispatched"

@@ -26,12 +26,12 @@ from ..compressor import decompress
 from ..crypto import KeyRing
 from ..mas.itinerary import Stop
 from ..mas.serializer import value_from_xml
-from ..telemetry.spans import SpanContext
 from ..xmlcodec import parse_bytes
 from .config import DEFAULT_CONFIG, PDAgentConfig
 from .device_db import DispatchRecord, InternalDatabase, StoredCode
 from .dispatcher import AgentDispatcher
 from .errors import GatewayError, ResultNotReadyError, SubscriptionError
+from .gateway import ticket_origin
 from .netmanager import NetworkManager
 from .retry import CircuitBreaker, RetryPolicy
 from .security import DeviceSecurity
@@ -273,12 +273,11 @@ class PDAgentPlatform:
         yet.  On success the document is verified, parsed, stored in the
         internal database, and returned as a :class:`CollectedResult`.
         """
-        # The ticket id encodes its issuing gateway ("<addr>/t-<n>"): that —
-        # not handle.gateway — is where the result document lives.  A handle
+        # The ticket id encodes its issuing gateway: that — not
+        # handle.gateway — is where the result document lives.  A handle
         # returned by a fleet dedup (upload at B answered with A's ticket)
         # records gateway=B but must download from A.
-        head, sep, _ = handle.ticket.partition("/t-")
-        origin = head if sep else handle.gateway
+        origin = ticket_origin(handle.ticket) or handle.gateway
         if via == "":
             # Auto-select after a link flap: prefer the gateway that issued
             # the ticket — collecting there is direct, anywhere else relays.

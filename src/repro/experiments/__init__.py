@@ -6,12 +6,20 @@
 * :mod:`~repro.experiments.claims` — code-size (C1) and footprint (C2);
 * :mod:`~repro.experiments.ablations` — selection / codec / security /
   adapter ablations (A1–A4);
-* :mod:`~repro.experiments.faults` — the Fig. 12 workload under an
-  injected fault schedule (completion rate, added connection time);
-* :mod:`~repro.experiments.overload` — dispatch storms through one
-  under-provisioned gateway, protected (admission + dedup) vs not;
-* :mod:`~repro.experiments.diversity` — a diurnal + flash-crowd day at
-  1000+ devices over a three-gateway fleet, full application mix;
+* :mod:`~repro.experiments.extensions` — device resources, link and
+  bank-count sweeps, client-agent-server, device classes (E1–E5);
+* :mod:`~repro.experiments.capstone` — the skeleton the capstones share:
+  the e-banking access-point world, the dispatch tally, the paired-sweep
+  table and its declared columns;
+* capstones: :mod:`~repro.experiments.faults` (the Fig. 12 workload
+  under a fault schedule), :mod:`~repro.experiments.overload` (dispatch
+  storms through one gateway, protected vs not),
+  :mod:`~repro.experiments.fleet` (roamed retries, fleet tier vs
+  baseline), :mod:`~repro.experiments.streaming` (resumable sessions vs
+  store-and-forward), :mod:`~repro.experiments.churn` (rolling restart of
+  every fleet member) and :mod:`~repro.experiments.diversity` (a diurnal
+  + flash-crowd day over a three-gateway fleet, full application mix);
+* :mod:`~repro.experiments.scale` — the device-population perf sweep;
 * :mod:`~repro.experiments.runner` — the ``pdagent-experiments`` CLI.
 """
 

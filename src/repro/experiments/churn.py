@@ -29,20 +29,20 @@ with a byte-identical replay under the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, ClassVar, Generator, Optional
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig
+from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
-from ..device import link_profile
-from ..mas import Stop
 from ..telemetry.exporters import TraceCollector
-from .report import format_table
+from .capstone import (
+    Column,
+    PairedSweep,
+    PopulationRun,
+    deploy_ebank,
+    dispatch_tally,
+    ebank_world,
+    run_to_completion,
+)
 
 __all__ = [
     "ChurnRunResult",
@@ -50,12 +50,9 @@ __all__ = [
     "churn_config",
     "run_churn",
     "run_churn_sweep",
-    "main",
 ]
 
 GATEWAYS = ("gw-0", "gw-1", "gw-2")
-BANKS = ("bank-a", "bank-b")
-ACCESS_POINT = "ap"
 
 #: Device populations swept (CI smoke caps this via ``--max-n``).
 DEFAULT_POPULATIONS = (3, 6, 9)
@@ -65,7 +62,6 @@ DEFAULT_POPULATIONS = (3, 6, 9)
 #: some provably land on a draining member (structured 503 + successor
 #: hint) or a crashed one (refused connection) and must walk the ring.
 STAGGER_S = 2.0
-N_TXNS = 1
 
 #: The rolling restart: the first drain begins at ``ROLL_START_S``.  After
 #: a member's drain completes it *dwells* for ``ROLL_DWELL_S`` — drained
@@ -102,13 +98,9 @@ def churn_config() -> PDAgentConfig:
 
 
 @dataclass
-class ChurnRunResult:
+class ChurnRunResult(PopulationRun):
     """One (population, mode) run's aggregates."""
 
-    mode: str
-    seed: int
-    n_devices: int
-    completed: int
     collected_elsewhere: int
     dispatches: int
     duplicate_dispatches: int
@@ -124,9 +116,21 @@ class ChurnRunResult:
     events_processed: int = 0
     outcomes: list[dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / self.n_devices if self.n_devices else 0.0
+    COLUMNS: ClassVar[tuple[Column, ...]] = PopulationRun.COLUMNS + (
+        Column("collect-anywhere", "collected_elsewhere"),
+        Column(None, "dispatches"),
+        Column("dup dispatches", "duplicate_dispatches"),
+        Column("drains", "drains_completed"),
+        Column("migrated", "migrated_out"),
+        Column("rebalanced", "rebalanced"),
+        Column(None, "claims_stale"),
+        Column("refusals", "drain_refusals"),
+        Column(None, "drain_redirects"),
+        Column(None, "marked_down"),
+        Column("epoch", "final_epoch"),
+        Column(None, "sim_end"),
+        Column(None, "events_processed"),
+    )
 
     def replay_key(self) -> tuple:
         """Everything a byte-identical replay must reproduce."""
@@ -146,44 +150,6 @@ class ChurnRunResult:
         )
 
 
-def _build(seed: int, n_devices: int) -> Deployment:
-    builder = DeploymentBuilder(master_seed=seed, config=churn_config())
-    builder.add_central("central")
-    for gw in GATEWAYS:
-        builder.add_gateway(gw)
-    for bank in BANKS:
-        builder.add_site(bank, services=[BankServiceAgent(bank_name=bank)])
-    lan = link_profile("LAN")
-    builder.network.add_node(ACCESS_POINT, kind="router")
-    builder.network.add_duplex_link(ACCESS_POINT, "backbone", lan)
-    for k in range(n_devices):
-        builder.add_device(
-            f"pda-{k}", profile="PDA", wireless="WLAN", attach_to=ACCESS_POINT
-        )
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
-    deployment = builder.build()
-    _prewarm(deployment, n_devices)
-    return deployment
-
-
-def _prewarm(deployment: Deployment, n_devices: int) -> None:
-    """Address list + subscription per device, before the measured phase."""
-    sim = deployment.sim
-
-    def setup(k: int) -> Generator:
-        platform = deployment.platform(f"pda-{k}")
-        yield from platform.selector.refresh_list()
-        yield from platform.subscribe("ebanking", gateway=GATEWAYS[0])
-        return True
-
-    procs = [
-        sim.process(setup(k), name=f"churn-prewarm:{k}")
-        for k in range(n_devices)
-    ]
-    sim.run(until=sim.all_of(procs))
-
-
 def run_churn(
     seed: int = 0,
     n_devices: int = 6,
@@ -198,11 +164,9 @@ def run_churn(
     ``"completed"``.
     """
     mode = "churn" if churn else "control"
-    deployment = _build(seed, n_devices)
+    deployment = ebank_world(seed, n_devices, churn_config(), GATEWAYS, "churn")
     sim = deployment.sim
     network = deployment.network
-    txns = make_transactions(list(BANKS), N_TXNS)
-    stops = [Stop(bank, task="banking") for bank in BANKS]
     outcomes: list[dict[str, Any]] = []
 
     def deploy_walking(platform, task_id: str, preferred: int) -> Generator:
@@ -217,11 +181,7 @@ def run_churn(
         for attempt in range(len(GATEWAYS) * 3):
             gw = GATEWAYS[(preferred + attempt) % len(GATEWAYS)]
             try:
-                handle = yield from platform.deploy(
-                    "ebanking", {"transactions": txns}, stops=stops,
-                    gateway=gw, task_id=task_id,
-                )
-                return handle
+                return (yield from deploy_ebank(platform, gw, task_id))
             except PDAgentError as exc:
                 last = exc
                 yield sim.timeout(0.5)
@@ -298,18 +258,11 @@ def run_churn(
     ]
     if churn:
         procs.append(sim.process(roll(), name="churn-roll"))
-    sim.run(until=sim.all_of(procs))
-    if collector is not None:
-        collector.add_run(label or f"churn/{mode}-{n_devices}", network)
+    run_to_completion(
+        deployment, procs, collector, label or f"churn/{mode}-{n_devices}"
+    )
     counters = network.tracer.counters
-    # Fleet migration is at-least-once: a lost ack may leave the same
-    # ticket id on two members.  A *duplicate dispatch* is therefore a
-    # task with more than one distinct dispatched ticket identity.
-    per_task: dict[str, set] = {}
-    for gw in GATEWAYS:
-        for t in deployment.gateway(gw).tickets():
-            if t.agent_id and t.task_id:
-                per_task.setdefault(t.task_id, set()).add(t.ticket_id)
+    dispatches, duplicates = dispatch_tally(deployment, GATEWAYS)
     view = deployment.fleet.view
     return ChurnRunResult(
         mode=mode,
@@ -319,10 +272,8 @@ def run_churn(
         collected_elsewhere=sum(
             1 for o in outcomes if o["ok"] and o["collect"] != o["upload"]
         ),
-        dispatches=sum(len(ids) for ids in per_task.values()),
-        duplicate_dispatches=sum(
-            len(ids) - 1 for ids in per_task.values() if len(ids) > 1
-        ),
+        dispatches=dispatches,
+        duplicate_dispatches=duplicates,
         drains_completed=counters.get("fleet.drains_completed", 0),
         migrated_out=counters.get("fleet.migrated_out", 0),
         rebalanced=counters.get("fleet.rebalanced", 0),
@@ -338,89 +289,29 @@ def run_churn(
 
 
 @dataclass
-class ChurnSweepResult:
+class ChurnSweepResult(PairedSweep):
     """Churn vs no-churn control across the population sweep (same seeds)."""
 
-    seed: int
-    populations: tuple[int, ...]
     churn: list[ChurnRunResult]
     control: list[ChurnRunResult]
 
-    def pairs(self) -> list[tuple[ChurnRunResult, ChurnRunResult]]:
-        return list(zip(self.churn, self.control))
+    MODES = ("churn", "control")
+    RUN = ChurnRunResult
+    TITLE = (
+        f"Churn: rolling restart of all {len(GATEWAYS)} fleet members "
+        "under roaming traffic"
+    )
 
-    def rows(self) -> list[list]:
-        rows = []
-        for pair in self.pairs():
-            for run in pair:
-                rows.append(
-                    [
-                        run.n_devices,
-                        run.mode,
-                        f"{run.completed}/{run.n_devices}",
-                        run.collected_elsewhere,
-                        run.duplicate_dispatches,
-                        run.drains_completed,
-                        run.migrated_out,
-                        run.rebalanced,
-                        run.drain_refusals,
-                        run.final_epoch,
-                    ]
-                )
-        return rows
-
-    def render(self) -> str:
-        table = format_table(
-            [
-                "devices",
-                "mode",
-                "completed",
-                "collect-anywhere",
-                "dup dispatches",
-                "drains",
-                "migrated",
-                "rebalanced",
-                "refusals",
-                "epoch",
-            ],
-            self.rows(),
-            title=(
-                "Churn: rolling restart of all "
-                f"{len(GATEWAYS)} fleet members under roaming traffic"
-            ),
+    def headline(self, churn: ChurnRunResult, control: ChurnRunResult) -> str:
+        return (
+            f"At n={churn.n_devices}: the roll drained "
+            f"{churn.drains_completed} member(s), migrated "
+            f"{churn.migrated_out} item(s), reached epoch "
+            f"{churn.final_epoch}, and still completed "
+            f"{churn.completed}/{churn.n_devices} task(s) with "
+            f"{churn.duplicate_dispatches} duplicate(s); the quiet "
+            f"control completed {control.completed}/{control.n_devices}"
         )
-        worst = self.pairs()[-1]
-        extra = (
-            f"At n={worst[0].n_devices}: the roll drained "
-            f"{worst[0].drains_completed} member(s), migrated "
-            f"{worst[0].migrated_out} item(s), reached epoch "
-            f"{worst[0].final_epoch}, and still completed "
-            f"{worst[0].completed}/{worst[0].n_devices} task(s) with "
-            f"{worst[0].duplicate_dispatches} duplicate(s); the quiet "
-            f"control completed {worst[1].completed}/{worst[1].n_devices}"
-        )
-        return f"{table}\n{extra}"
-
-    def to_csv(self) -> str:
-        lines = [
-            "devices,mode,completed,completion_rate,collected_elsewhere,"
-            "dispatches,duplicate_dispatches,drains_completed,migrated_out,"
-            "rebalanced,claims_stale,drain_refusals,drain_redirects,"
-            "marked_down,final_epoch,sim_end,events_processed"
-        ]
-        for pair in self.pairs():
-            for run in pair:
-                lines.append(
-                    f"{run.n_devices},{run.mode},{run.completed},"
-                    f"{run.completion_rate!r},{run.collected_elsewhere},"
-                    f"{run.dispatches},{run.duplicate_dispatches},"
-                    f"{run.drains_completed},{run.migrated_out},"
-                    f"{run.rebalanced},{run.claims_stale},"
-                    f"{run.drain_refusals},{run.drain_redirects},"
-                    f"{run.marked_down},{run.final_epoch},"
-                    f"{run.sim_end!r},{run.events_processed}"
-                )
-        return "\n".join(lines) + "\n"
 
 
 def run_churn_sweep(
@@ -429,39 +320,5 @@ def run_churn_sweep(
     collector: Optional[TraceCollector] = None,
 ) -> ChurnSweepResult:
     """Both modes per population, same seeds, identical timing."""
-    churn_runs, control_runs = [], []
-    for n in populations:
-        churn_runs.append(
-            run_churn(
-                seed, n, churn=True,
-                collector=collector, label=f"churn/churn-{n}",
-            )
-        )
-        control_runs.append(
-            run_churn(
-                seed, n, churn=False,
-                collector=collector, label=f"churn/control-{n}",
-            )
-        )
-    return ChurnSweepResult(
-        seed=seed,
-        populations=tuple(populations),
-        churn=churn_runs,
-        control=control_runs,
-    )
+    return ChurnSweepResult.sweep(run_churn, seed, populations, collector)
 
-
-def main(
-    seed: int = 0,
-    populations: tuple[int, ...] = DEFAULT_POPULATIONS,
-    collector: Optional[TraceCollector] = None,
-) -> ChurnSweepResult:
-    result = run_churn_sweep(
-        seed=seed, populations=populations, collector=collector
-    )
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,35 +29,9 @@ the property ``benchmarks/bench_diversity.py`` gates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, ClassVar, Generator, Optional
 
-from ..apps import (
-    AuctionHouseServiceAgent,
-    AuctionSnipeAgent,
-    BankServiceAgent,
-    DirectoryServiceAgent,
-    DriverBoardServiceAgent,
-    EBankingAgent,
-    FoodSearchAgent,
-    GridForemanServiceAgent,
-    GridWorkerServiceAgent,
-    JobCourierAgent,
-    JobFarmAgent,
-    RideDispatchAgent,
-    ShoppingAgent,
-    VendorServiceAgent,
-    auction_service_code,
-    ebanking_service_code,
-    foodsearch_service_code,
-    jobfarm_service_code,
-    make_drivers,
-    make_inventory,
-    make_listings,
-    make_lots,
-    make_transactions,
-    mcommerce_service_code,
-    ridedispatch_service_code,
-)
+from ..apps import add_app_sites, make_transactions
 from ..core import Deployment, DeploymentBuilder, PDAgentConfig
 from ..core.errors import DeadlineExpiredError, PDAgentError
 from ..device import link_profile
@@ -65,8 +39,7 @@ from ..mas import Stop
 from ..simnet.rng import StreamFactory
 from ..simtest.traffic import FlashCrowd, TrafficSpec, sample_arrivals
 from ..telemetry.exporters import TraceCollector
-from .overload import percentile
-from .report import format_table
+from .capstone import Column, Latencies, csv_table, render_table, run_to_completion
 
 __all__ = [
     "ClassStats",
@@ -75,7 +48,6 @@ __all__ = [
     "DEFAULT_TRAFFIC",
     "diversity_config",
     "run_diversity",
-    "main",
 ]
 
 #: The "1000+ devices" headline population (CI smoke caps via ``--max-n``).
@@ -146,7 +118,7 @@ def diversity_config() -> PDAgentConfig:
 
 
 @dataclass
-class ClassStats:
+class ClassStats(Latencies):
     """Per-app-class aggregates for one run."""
 
     app: str
@@ -154,17 +126,20 @@ class ClassStats:
     completed: int = 0
     latencies: list[float] = field(default_factory=list)
 
+    COLUMNS: ClassVar[tuple[Column, ...]] = (
+        Column("app class", "app"),
+        Column("tasks", "tasks", "n"),
+        Column("completed", None, lambda s: f"{s.completed}/{s.n}"),
+        Column(None, "completed"),
+        Column("rate", None, lambda s: round(s.completion_rate, 3)),
+        Column(None, "completion_rate"),
+        Column("p50 (s)", "p50_s", "p50"),
+        Column("p99 (s)", "p99_s", "p99"),
+    )
+
     @property
     def completion_rate(self) -> float:
         return self.completed / self.n if self.n else 0.0
-
-    @property
-    def p50(self) -> float:
-        return percentile(self.latencies, 0.50)
-
-    @property
-    def p99(self) -> float:
-        return percentile(self.latencies, 0.99)
 
 
 @dataclass
@@ -194,24 +169,18 @@ class DiversityResult:
     def completion_rate(self) -> float:
         return self.completed / self.n_devices if self.n_devices else 0.0
 
-    def rows(self) -> list[list]:
+    def _active(self) -> list[ClassStats]:
+        """The app classes that ran at least one task, by name."""
         return [
-            [
-                stats.app,
-                stats.n,
-                f"{stats.completed}/{stats.n}",
-                round(stats.completion_rate, 3),
-                round(stats.p50, 2),
-                round(stats.p99, 2),
-            ]
+            stats
             for stats in sorted(self.classes.values(), key=lambda s: s.app)
             if stats.n
         ]
 
     def render(self) -> str:
-        table = format_table(
-            ["app class", "tasks", "completed", "rate", "p50 (s)", "p99 (s)"],
-            self.rows(),
+        table = render_table(
+            ClassStats.COLUMNS,
+            self._active(),
             title=(
                 f"Diversity day: {self.n_devices} devices, "
                 f"{self.gateways}-gateway fleet, diurnal x{self.traffic.peak_ratio:.0f} "
@@ -231,21 +200,13 @@ class DiversityResult:
         return f"{table}\n{extra}"
 
     def to_csv(self) -> str:
-        lines = ["app,tasks,completed,completion_rate,p50_s,p99_s"]
-        for stats in sorted(self.classes.values(), key=lambda s: s.app):
-            if stats.n:
-                lines.append(
-                    f"{stats.app},{stats.n},{stats.completed},"
-                    f"{stats.completion_rate!r},{stats.p50!r},{stats.p99!r}"
-                )
-        lines.append(
+        return csv_table(ClassStats.COLUMNS, self._active()) + (
             f"_total,{self.n_devices},{self.completed},"
-            f"{self.completion_rate!r},,"
+            f"{self.completion_rate!r},,\n"
+            f"_sheds,{self.sheds},,,,\n"
+            f"_shed_waits,{self.shed_waits},,,,\n"
+            f"_deadline_missed,{self.deadline_missed},,,,\n"
         )
-        lines.append(f"_sheds,{self.sheds},,,,")
-        lines.append(f"_shed_waits,{self.shed_waits},,,,")
-        lines.append(f"_deadline_missed,{self.deadline_missed},,,,")
-        return "\n".join(lines) + "\n"
 
 
 def _build(seed: int, n_devices: int) -> Deployment:
@@ -253,39 +214,7 @@ def _build(seed: int, n_devices: int) -> Deployment:
     builder.add_central("central")
     for g in range(N_GATEWAYS):
         builder.add_gateway(f"gw-{g}")
-    for i, site in enumerate(SITES):
-        partner = SITES[(i + 1) % len(SITES)]
-        builder.add_site(
-            site,
-            services=[
-                BankServiceAgent(bank_name=site),
-                DirectoryServiceAgent(make_listings(i), partner=partner),
-                VendorServiceAgent(make_inventory(i)),
-                DriverBoardServiceAgent(make_drivers(i)),
-                AuctionHouseServiceAgent(make_lots(i)),
-                GridWorkerServiceAgent(),
-                GridForemanServiceAgent(),
-            ],
-        )
-    for cls in (
-        EBankingAgent,
-        FoodSearchAgent,
-        ShoppingAgent,
-        RideDispatchAgent,
-        AuctionSnipeAgent,
-        JobFarmAgent,
-        JobCourierAgent,
-    ):
-        builder.register_agent_class(cls)
-    for code in (
-        ebanking_service_code(),
-        foodsearch_service_code(),
-        mcommerce_service_code(),
-        ridedispatch_service_code(),
-        auction_service_code(),
-        jobfarm_service_code(),
-    ):
-        builder.publish(code)
+    add_app_sites(builder, SITES)
     # City cells: AP routers between the device radios and the backbone.
     for j in range(N_APS):
         builder.network.add_node(f"ap-{j}", kind="router")
@@ -474,11 +403,9 @@ def run_diversity(
         sim.process(one_task(plan), name=f"diversity-task:{plan['device']}")
         for plan in plans
     ]
-    sim.run(until=sim.all_of(workload))
-    if collector is not None:
-        collector.add_run(
-            label or f"diversity/{n_devices}", deployment.network
-        )
+    run_to_completion(
+        deployment, workload, collector, label or f"diversity/{n_devices}"
+    )
     counters = deployment.network.tracer.counters
     platforms = [deployment.platform(f"dev-{i}") for i in range(n_devices)]
     for stats in classes.values():
@@ -500,16 +427,3 @@ def run_diversity(
         outcomes=sorted(outcomes, key=lambda o: o["device"]),
     )
 
-
-def main(
-    seed: int = 0,
-    n_devices: int = DEFAULT_DEVICES,
-    collector: Optional[TraceCollector] = None,
-) -> DiversityResult:
-    result = run_diversity(seed=seed, n_devices=n_devices, collector=collector)
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,13 +23,15 @@ the reproduction's Fig. 12 companion under adverse conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
+from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
 from ..simnet.faults import FaultSchedule, LinkDegrade, LinkDown, NodeCrash
 from ..simnet.topology import NoRouteError
 from ..simnet.transport import ConnectionClosed, TransportError
 from ..telemetry.exporters import TraceCollector
+from .capstone import run_to_completion
 from .report import format_table
 from .scenario import EvaluationScenario, build_scenario
 
@@ -40,7 +42,6 @@ __all__ = [
     "run_pdagent_under_faults",
     "run_client_server_under_faults",
     "run_fault_comparison",
-    "main",
 ]
 
 #: One task is launched every PERIOD seconds (a user submitting a batch).
@@ -201,19 +202,54 @@ class FaultComparison:
         return f"{table}\n{extra}"
 
 
-def _install(scenario: EvaluationScenario, schedule: Optional[FaultSchedule]) -> None:
-    if schedule is not None and len(schedule):
-        schedule.install(scenario.network)
+def _run_periodic(
+    scenario: EvaluationScenario,
+    approach: str,
+    seed: int,
+    n_tasks: int,
+    n_transactions: int,
+    schedule: Optional[FaultSchedule],
+    collector: Optional[TraceCollector],
+    label: str,
+    body: Callable[[list[dict[str, Any]], dict[str, Any]], Generator],
+) -> FaultRunResult:
+    """Launch task ``k`` every period under ``schedule`` and aggregate.
 
+    ``body(txns, out)`` is one task's process; it records the outcome in
+    ``out`` (``ok`` and ``detail``).
+    """
+    sim = scenario.sim
+    scenario.install(schedule)
+    t_base = sim.now
+    txns = scenario.transactions(n_transactions)
+    outcomes: list[dict[str, Any]] = []
 
-def _collect_counters(scenario: EvaluationScenario) -> dict[str, int]:
-    counters = scenario.network.tracer.counters
-    return {
-        "watchdog_failures": counters.get("gateway_watchdog_failures", 0),
-        "sites_skipped": counters.get("sites_skipped", 0),
-        "redispatches": counters.get("agents_redispatched", 0),
-        "retransmissions": sum(l.retransmissions for l in scenario.network.links),
-    }
+    def task(k: int) -> Generator:
+        yield sim.timeout(k * TASK_PERIOD_S)
+        out: dict[str, Any] = {"task": k, "ok": False, "detail": ""}
+        outcomes.append(out)
+        yield from body(txns, out)
+
+    prefix = "fault-task" if approach == "pdagent" else "cs-fault-task"
+    procs = [sim.process(task(k), name=f"{prefix}:{k}") for k in range(n_tasks)]
+    run_to_completion(scenario.deployment, procs, collector, label)
+    tracer = scenario.network.tracer
+    return FaultRunResult(
+        approach=approach,
+        seed=seed,
+        n_tasks=n_tasks,
+        n_transactions=n_transactions,
+        completed=sum(1 for o in outcomes if o["ok"]),
+        connection_time=tracer.connection_time(scenario.pda.address, since=t_base),
+        # Client-server has no application-level retry to count.
+        retries=scenario.platform.netmanager.retries if approach == "pdagent" else 0,
+        retransmissions=sum(l.retransmissions for l in scenario.network.links),
+        faults_injected=len(tracer.faults),
+        watchdog_failures=tracer.counters.get("gateway_watchdog_failures", 0),
+        sites_skipped=tracer.counters.get("sites_skipped", 0),
+        redispatches=tracer.counters.get("agents_redispatched", 0),
+        outcomes=sorted(outcomes, key=lambda o: o["task"]),
+    )
 
 
 def run_pdagent_under_faults(
@@ -237,22 +273,13 @@ def run_pdagent_under_faults(
     circuit breaker, and the failover to ``gw-1`` are all exercised on the
     same seed every run.
     """
-    from ..core import PDAgentConfig
-
     scenario = build_scenario(
         seed=seed, n_gateways=2, config=PDAgentConfig(selection_policy="first")
     )
     sim = scenario.sim
     platform = scenario.platform
-    _install(scenario, schedule)
-    t_base = sim.now
-    txns = scenario.transactions(n_transactions)
-    outcomes: list[dict[str, Any]] = []
 
-    def task(k: int) -> Generator:
-        yield sim.timeout(k * TASK_PERIOD_S)
-        out: dict[str, Any] = {"task": k, "ok": False, "detail": ""}
-        outcomes.append(out)
+    def task(txns: list[dict[str, Any]], out: dict[str, Any]) -> Generator:
         try:
             handle = yield from platform.deploy(
                 "ebanking", {"transactions": txns}, stops=scenario.stops()
@@ -276,24 +303,9 @@ def run_pdagent_under_faults(
             out["detail"] = f"status {result.status!r} via {handle.gateway}"
             return
 
-    procs = [sim.process(task(k), name=f"fault-task:{k}") for k in range(n_tasks)]
-    sim.run(until=sim.all_of(procs))
-    if collector is not None:
-        collector.add_run(label, scenario.network)
-    counters = _collect_counters(scenario)
-    return FaultRunResult(
-        approach="pdagent",
-        seed=seed,
-        n_tasks=n_tasks,
-        n_transactions=n_transactions,
-        completed=sum(1 for o in outcomes if o["ok"]),
-        connection_time=scenario.network.tracer.connection_time(
-            platform.device.address, since=t_base
-        ),
-        retries=platform.netmanager.retries,
-        faults_injected=len(scenario.network.tracer.faults),
-        outcomes=sorted(outcomes, key=lambda o: o["task"]),
-        **counters,
+    return _run_periodic(
+        scenario, "pdagent", seed, n_tasks, n_transactions, schedule,
+        collector, label, task,
     )
 
 
@@ -312,16 +324,8 @@ def run_client_server_under_faults(
     the work through the outage).
     """
     scenario = build_scenario(seed=seed, n_gateways=2)
-    sim = scenario.sim
-    _install(scenario, schedule)
-    t_base = sim.now
-    txns = scenario.transactions(n_transactions)
-    outcomes: list[dict[str, Any]] = []
 
-    def task(k: int) -> Generator:
-        yield sim.timeout(k * TASK_PERIOD_S)
-        out: dict[str, Any] = {"task": k, "ok": False, "detail": ""}
-        outcomes.append(out)
+    def task(txns: list[dict[str, Any]], out: dict[str, Any]) -> Generator:
         runner = scenario.client_server_runner()
         try:
             res = yield from runner.run(list(txns))
@@ -332,22 +336,9 @@ def run_client_server_under_faults(
         out["ok"] = len(ok_details) == len(txns)
         out["detail"] = f"{len(ok_details)}/{len(txns)} transactions ok"
 
-    procs = [sim.process(task(k), name=f"cs-fault-task:{k}") for k in range(n_tasks)]
-    sim.run(until=sim.all_of(procs))
-    if collector is not None:
-        collector.add_run(label, scenario.network)
-    counters = _collect_counters(scenario)
-    return FaultRunResult(
-        approach="client-server",
-        seed=seed,
-        n_tasks=n_tasks,
-        n_transactions=n_transactions,
-        completed=sum(1 for o in outcomes if o["ok"]),
-        connection_time=scenario.network.tracer.connection_time("pda", since=t_base),
-        retries=0,  # the model has no application-level retry to count
-        faults_injected=len(scenario.network.tracer.faults),
-        outcomes=sorted(outcomes, key=lambda o: o["task"]),
-        **counters,
+    return _run_periodic(
+        scenario, "client-server", seed, n_tasks, n_transactions, schedule,
+        collector, label, task,
     )
 
 
@@ -378,12 +369,3 @@ def run_fault_comparison(
         ),
     )
 
-
-def main(seed: int = 0, collector: Optional[TraceCollector] = None) -> FaultComparison:
-    comparison = run_fault_comparison(seed=seed, collector=collector)
-    print(comparison.render())
-    return comparison
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

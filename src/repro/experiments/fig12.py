@@ -19,7 +19,7 @@ from ..telemetry.exporters import TraceCollector
 from .report import format_series, format_table
 from .scenario import build_scenario, run_pdagent_batch
 
-__all__ = ["Fig12Result", "run_fig12", "main"]
+__all__ = ["Fig12Result", "run_fig12"]
 
 DEFAULT_NS = tuple(range(1, 11))
 
@@ -102,16 +102,3 @@ def run_fig12(
             collector.add_run(f"fig12/web-based/n={n}", scenario.network)
     return result
 
-
-def main(
-    seed: int = 0,
-    ns: tuple[int, ...] = DEFAULT_NS,
-    collector: Optional[TraceCollector] = None,
-) -> Fig12Result:
-    result = run_fig12(seed=seed, ns=ns, collector=collector)
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,7 +25,7 @@ from ..telemetry.exporters import TraceCollector
 from .report import format_series, format_table
 from .scenario import build_scenario, run_pdagent_batch
 
-__all__ = ["Fig13Result", "run_fig13", "main"]
+__all__ = ["Fig13Result", "run_fig13"]
 
 DEFAULT_NS = tuple(range(1, 11))
 DEFAULT_TRIALS = 4
@@ -119,17 +119,3 @@ def run_fig13(
         result.client_server.append(cs_series)
     return result
 
-
-def main(
-    base_seed: int = 100,
-    ns: tuple[int, ...] = DEFAULT_NS,
-    trials: int = DEFAULT_TRIALS,
-    collector: Optional[TraceCollector] = None,
-) -> Fig13Result:
-    result = run_fig13(base_seed=base_seed, ns=ns, trials=trials, collector=collector)
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -32,22 +32,21 @@ every roamed task.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, ClassVar, Generator, Optional
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig
+from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
-from ..device import link_profile
-from ..mas import Stop
 from ..telemetry.exporters import TraceCollector
-from .report import format_table
+from .capstone import (
+    Column,
+    PairedSweep,
+    PopulationRun,
+    deploy_ebank,
+    dispatch_tally,
+    ebank_world,
+    run_to_completion,
+)
 
 __all__ = [
     "FleetRunResult",
@@ -55,12 +54,9 @@ __all__ = [
     "fleet_config",
     "run_fleet",
     "run_fleet_sweep",
-    "main",
 ]
 
 GATEWAYS = ("gw-0", "gw-1", "gw-2")
-BANKS = ("bank-a", "bank-b")
-ACCESS_POINT = "ap"
 
 #: Device populations swept (CI smoke caps this via ``--max-n``).
 DEFAULT_POPULATIONS = (3, 6, 9, 12)
@@ -68,7 +64,6 @@ DEFAULT_POPULATIONS = (3, 6, 9, 12)
 #: Device ``k`` uploads at ``k * STAGGER_S``; all uploads (and their fleet
 #: claims) complete well before the crash window below.
 STAGGER_S = 0.2
-N_TXNS = 1
 
 #: One gateway crashes mid-experiment and restarts ``CRASH_DOWN_S`` later.
 #: The window sits *after* the upload/claim phase (so the fleet's zero
@@ -101,13 +96,9 @@ def fleet_config(enabled: bool) -> PDAgentConfig:
 
 
 @dataclass
-class FleetRunResult:
+class FleetRunResult(PopulationRun):
     """One (population, mode) run's aggregates."""
 
-    mode: str
-    seed: int
-    n_devices: int
-    completed: int
     collected_elsewhere: int
     dispatches: int
     duplicate_dispatches: int
@@ -123,63 +114,17 @@ class FleetRunResult:
     events_processed: int = 0
     outcomes: list[dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / self.n_devices if self.n_devices else 0.0
-
-
-def _build(seed: int, n_devices: int, enabled: bool) -> Deployment:
-    builder = DeploymentBuilder(master_seed=seed, config=fleet_config(enabled))
-    builder.add_central("central")
-    for gw in GATEWAYS:
-        builder.add_gateway(gw)
-    for bank in BANKS:
-        builder.add_site(bank, services=[BankServiceAgent(bank_name=bank)])
-    lan = link_profile("LAN")
-    builder.network.add_node(ACCESS_POINT, kind="router")
-    builder.network.add_duplex_link(ACCESS_POINT, "backbone", lan)
-    for k in range(n_devices):
-        builder.add_device(
-            f"pda-{k}", profile="PDA", wireless="WLAN", attach_to=ACCESS_POINT
-        )
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
-    deployment = builder.build()
-    _prewarm(deployment, n_devices)
-    return deployment
-
-
-def _prewarm(deployment: Deployment, n_devices: int) -> None:
-    """Address list + subscription per device, before the measured phase."""
-    sim = deployment.sim
-
-    def setup(k: int) -> Generator:
-        platform = deployment.platform(f"pda-{k}")
-        yield from platform.selector.refresh_list()
-        yield from platform.subscribe("ebanking", gateway=GATEWAYS[0])
-        return True
-
-    procs = [
-        sim.process(setup(k), name=f"fleet-prewarm:{k}")
-        for k in range(n_devices)
-    ]
-    sim.run(until=sim.all_of(procs))
-
-
-def _final_ticket(deployment: Deployment, gateway: str, ticket_id: str):
-    """The ticket object a handle names, following supersede pointers."""
-    origin, sep, _ = ticket_id.partition("/t-")
-    home = origin if sep and origin in deployment.gateways else gateway
-    ticket = deployment.gateway(home).ticket(ticket_id)
-    for _ in range(4):
-        if ticket.status == "superseded" and ticket.superseded_by:
-            winner = ticket.superseded_by
-            origin, sep, _ = winner.partition("/t-")
-            home = origin if sep and origin in deployment.gateways else home
-            ticket = deployment.gateway(home).ticket(winner)
-            continue
-        return ticket
-    return ticket
+    COLUMNS: ClassVar[tuple[Column, ...]] = PopulationRun.COLUMNS + (
+        Column("collect-anywhere", "collected_elsewhere"),
+        Column("dispatches", "dispatches"),
+        Column("dup dispatches", "duplicate_dispatches"),
+        Column(None, "claims_granted"),
+        Column("claims bound", "claims_bound"),
+        Column(None, "local_accepts"),
+        Column("supersedes", "supersedes"),
+        Column("relays", "relays"),
+        Column("dedup hits", "dedup_hits"),
+    )
 
 
 def run_fleet(
@@ -197,11 +142,11 @@ def run_fleet(
     gateway returns status ``"completed"``.
     """
     mode = "fleet" if enabled else "baseline"
-    deployment = _build(seed, n_devices, enabled)
+    deployment = ebank_world(
+        seed, n_devices, fleet_config(enabled), GATEWAYS, "fleet"
+    )
     sim = deployment.sim
     network = deployment.network
-    txns = make_transactions(list(BANKS), N_TXNS)
-    stops = [Stop(bank, task="banking") for bank in BANKS]
     outcomes: list[dict[str, Any]] = []
 
     def task(k: int) -> Generator:
@@ -217,24 +162,17 @@ def run_fleet(
         yield sim.timeout(k * STAGGER_S)
         task_id = platform.dispatcher.new_task_id()
         try:
-            handle = yield from platform.deploy(
-                "ebanking", {"transactions": txns}, stops=stops,
-                gateway=upload_gw, task_id=task_id,
-            )
+            handle = yield from deploy_ebank(platform, upload_gw, task_id)
         except PDAgentError as exc:
             out["detail"] = f"upload failed: {exc}"
             return
         # The roamed retry: the device moved (or never saw the reply) and
         # re-uploads the same task through a different gateway.
         try:
-            handle = yield from platform.deploy(
-                "ebanking", {"transactions": txns}, stops=stops,
-                gateway=retry_gw, task_id=task_id,
-            )
+            handle = yield from deploy_ebank(platform, retry_gw, task_id)
         except PDAgentError as exc:
             out["detail"] = f"roamed retry failed: {exc}"
-        ticket = _final_ticket(deployment, handle.gateway, handle.ticket)
-        yield ticket.completed
+        yield from deployment.await_final_ticket(handle.ticket, handle.gateway)
         # Collect through a third gateway, starting inside the crash window.
         if sim.now < COLLECT_AT_S + k * STAGGER_S:
             yield sim.timeout(COLLECT_AT_S + k * STAGGER_S - sim.now)
@@ -270,17 +208,11 @@ def run_fleet(
         for k in range(n_devices)
     ]
     sim.process(crash(), name="fleet-crash")
-    sim.run(until=sim.all_of(procs))
-    if collector is not None:
-        collector.add_run(label or f"fleet/{mode}-{n_devices}", network)
+    run_to_completion(
+        deployment, procs, collector, label or f"fleet/{mode}-{n_devices}"
+    )
     counters = network.tracer.counters
-    dispatched = [
-        t
-        for gw in GATEWAYS
-        for t in deployment.gateway(gw).tickets()
-        if t.agent_id
-    ]
-    per_task = Counter(t.task_id for t in dispatched if t.task_id)
+    dispatches, duplicates = dispatch_tally(deployment, GATEWAYS)
     return FleetRunResult(
         mode=mode,
         seed=seed,
@@ -289,8 +221,8 @@ def run_fleet(
         collected_elsewhere=sum(
             1 for o in outcomes if o["ok"] and o["collect"] != o["upload"]
         ),
-        dispatches=len(dispatched),
-        duplicate_dispatches=sum(c - 1 for c in per_task.values() if c > 1),
+        dispatches=dispatches,
+        duplicate_dispatches=duplicates,
         claims_granted=counters.get("fleet.claims_granted", 0),
         claims_bound=counters.get("fleet.claim_bound", 0),
         local_accepts=counters.get("fleet.local_accepts", 0),
@@ -304,84 +236,27 @@ def run_fleet(
 
 
 @dataclass
-class FleetSweepResult:
+class FleetSweepResult(PairedSweep):
     """Fleet vs baseline across the population sweep (same seeds)."""
 
-    seed: int
-    populations: tuple[int, ...]
     fleet: list[FleetRunResult]
     baseline: list[FleetRunResult]
 
-    def pairs(self) -> list[tuple[FleetRunResult, FleetRunResult]]:
-        return list(zip(self.fleet, self.baseline))
+    MODES = ("fleet", "baseline")
+    RUN = FleetRunResult
+    TITLE = (
+        "Fleet: roamed retries + third-gateway collects across a "
+        f"{CRASH_GATEWAY} crash at t={CRASH_AT_S:g}s"
+    )
 
-    def rows(self) -> list[list]:
-        rows = []
-        for pair in self.pairs():
-            for run in pair:
-                rows.append(
-                    [
-                        run.n_devices,
-                        run.mode,
-                        f"{run.completed}/{run.n_devices}",
-                        run.collected_elsewhere,
-                        run.dispatches,
-                        run.duplicate_dispatches,
-                        run.claims_bound,
-                        run.supersedes,
-                        run.relays,
-                        run.dedup_hits,
-                    ]
-                )
-        return rows
-
-    def render(self) -> str:
-        table = format_table(
-            [
-                "devices",
-                "mode",
-                "completed",
-                "collect-anywhere",
-                "dispatches",
-                "dup dispatches",
-                "claims bound",
-                "supersedes",
-                "relays",
-                "dedup hits",
-            ],
-            self.rows(),
-            title=(
-                "Fleet: roamed retries + third-gateway collects across a "
-                f"{CRASH_GATEWAY} crash at t={CRASH_AT_S:g}s"
-            ),
+    def headline(self, fleet: FleetRunResult, baseline: FleetRunResult) -> str:
+        return (
+            f"At n={fleet.n_devices}: fleet dispatched "
+            f"{fleet.dispatches} agent(s) for {fleet.n_devices} "
+            f"task(s) ({fleet.duplicate_dispatches} duplicate(s)); "
+            f"baseline dispatched {baseline.dispatches} "
+            f"({baseline.duplicate_dispatches} duplicate(s))"
         )
-        worst = self.pairs()[-1]
-        extra = (
-            f"At n={worst[0].n_devices}: fleet dispatched "
-            f"{worst[0].dispatches} agent(s) for {worst[0].n_devices} "
-            f"task(s) ({worst[0].duplicate_dispatches} duplicate(s)); "
-            f"baseline dispatched {worst[1].dispatches} "
-            f"({worst[1].duplicate_dispatches} duplicate(s))"
-        )
-        return f"{table}\n{extra}"
-
-    def to_csv(self) -> str:
-        lines = [
-            "devices,mode,completed,completion_rate,collected_elsewhere,"
-            "dispatches,duplicate_dispatches,claims_granted,claims_bound,"
-            "local_accepts,supersedes,relays,dedup_hits"
-        ]
-        for pair in self.pairs():
-            for run in pair:
-                lines.append(
-                    f"{run.n_devices},{run.mode},{run.completed},"
-                    f"{run.completion_rate!r},{run.collected_elsewhere},"
-                    f"{run.dispatches},{run.duplicate_dispatches},"
-                    f"{run.claims_granted},{run.claims_bound},"
-                    f"{run.local_accepts},{run.supersedes},{run.relays},"
-                    f"{run.dedup_hits}"
-                )
-        return "\n".join(lines) + "\n"
 
 
 def run_fleet_sweep(
@@ -390,39 +265,5 @@ def run_fleet_sweep(
     collector: Optional[TraceCollector] = None,
 ) -> FleetSweepResult:
     """Both modes per population, same seeds, identical timing."""
-    fleet_runs, baseline_runs = [], []
-    for n in populations:
-        fleet_runs.append(
-            run_fleet(
-                seed, n, enabled=True,
-                collector=collector, label=f"fleet/fleet-{n}",
-            )
-        )
-        baseline_runs.append(
-            run_fleet(
-                seed, n, enabled=False,
-                collector=collector, label=f"fleet/baseline-{n}",
-            )
-        )
-    return FleetSweepResult(
-        seed=seed,
-        populations=tuple(populations),
-        fleet=fleet_runs,
-        baseline=baseline_runs,
-    )
+    return FleetSweepResult.sweep(run_fleet, seed, populations, collector)
 
-
-def main(
-    seed: int = 0,
-    populations: tuple[int, ...] = DEFAULT_POPULATIONS,
-    collector: Optional[TraceCollector] = None,
-) -> FleetSweepResult:
-    result = run_fleet_sweep(
-        seed=seed, populations=populations, collector=collector
-    )
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,7 +6,7 @@ import csv
 import io
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "print_table", "to_csv", "write_csv"]
+__all__ = ["format_table", "format_series", "to_csv", "write_csv"]
 
 
 def format_table(
@@ -33,10 +33,6 @@ def format_series(name: str, xs: Sequence[Any], ys: Sequence[float]) -> str:
     """One figure series as ``name: (x, y) ...`` pairs."""
     pairs = "  ".join(f"({x}, {_fmt(y)})" for x, y in zip(xs, ys))
     return f"{name}: {pairs}"
-
-
-def print_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: str = "") -> None:
-    print(format_table(headers, rows, title))
 
 
 def to_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

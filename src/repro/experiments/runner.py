@@ -18,17 +18,24 @@ Usage (installed as ``pdagent-experiments``)::
     pdagent-experiments ablations    # A1-A4
     pdagent-experiments extensions   # E1-E4
 
-``--csv DIR`` additionally writes the figure data as CSV files (full
-precision) into ``DIR`` for external plotting.
+``--csv DIR`` additionally writes ``<experiment>.csv`` (full precision)
+into ``DIR`` for external plotting, for fig12, fig13, overload, fleet,
+churn, diversity and scale.
+
+``--max-n N`` makes a run smaller and faster: it caps the transaction
+sweep of fig12/fig13 at N, and the device population of overload, fleet,
+churn, diversity and scale at N.
 
 ``--trace PATH`` captures the full telemetry stream (spans, instants,
 fault/connection ledgers, metric series) of every traced experiment run
 into PATH — newline-delimited JSON by default, or the Chrome trace_event
 format (open in Perfetto / ``chrome://tracing``) when PATH ends in
 ``.json`` or ``--trace-format chrome`` is given.  Inspect the JSONL with
-``pdagent-trace summary PATH``.  Tracing covers fig12, fig13, faults and
-overload (the figure-producing simulations); claims/ablations/extensions
-run many heterogeneous micro-benchmarks and are not traced.
+``pdagent-trace summary PATH``.  Tracing covers fig12, fig13, faults,
+overload, fleet, streaming, churn and diversity (the simulations behind
+the figures and the capstones); scale is the perf bench, and
+claims/ablations/extensions run many heterogeneous micro-benchmarks, so
+none of these is traced.
 """
 
 from __future__ import annotations
@@ -55,150 +62,76 @@ from . import (
 
 __all__ = ["main"]
 
-#: Experiments whose runs are registered with the --trace collector.
-_TRACED = (
-    "fig12", "fig13", "faults", "overload", "fleet", "streaming", "churn",
-    "diversity",
-)
-
 
 def _ns(args) -> tuple[int, ...]:
-    """Transaction-count sweep, capped by --max-n (CI smoke runs)."""
+    """fig12/fig13 transaction-count sweep, capped by --max-n."""
     upper = args.max_n if args.max_n else 10
     return tuple(range(1, upper + 1))
 
 
-def _run_fig12(args, collector=None):
-    result = fig12.main(seed=args.seed, ns=_ns(args), collector=collector)
-    if args.csv:
-        path = os.path.join(args.csv, "fig12.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
+def _populations(args, default: tuple[int, ...]) -> tuple[int, ...]:
+    """A population sweep capped by --max-n (just --max-n if none fits)."""
+    if not args.max_n:
+        return default
+    return tuple(n for n in default if n <= args.max_n) or (args.max_n,)
 
 
-def _run_fig13(args, collector=None):
-    result = fig13.main(base_seed=args.seed + 100, ns=_ns(args), collector=collector)
-    if args.csv:
-        path = os.path.join(args.csv, "fig13.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
-
-
-def _run_overload(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = overload.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = overload.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "overload.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
-
-
-def _run_fleet(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = fleet.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = fleet.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "fleet.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
-
-
-def _run_churn(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = churn.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = churn.main(
-        seed=args.seed, populations=populations, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "churn.csv")
-        with open(path, "w") as fh:
-            fh.write(result.to_csv())
-        print(f"[csv] wrote {path}")
-    return result
-
-
-def _run_scale(args, collector=None):
-    """Device-population sweep; --max-n caps the largest population."""
-    populations = scale.DEFAULT_POPULATIONS
-    if args.max_n:
-        populations = tuple(n for n in populations if n <= args.max_n) or (
-            args.max_n,
-        )
-    result = scale.run_scale_sweep(populations, seed=args.seed)
+def _printed(result):
     print(result.render())
-    if args.csv:
-        path = os.path.join(args.csv, "scale.csv")
-        rows = ["population,gateways,events_processed,events_per_sec"]
-        rows += [
-            f"{r.population},{r.gateways},"
-            f"{r.events_processed},{r.events_per_sec:.1f}"
-            for r in result.populations
-        ]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-        print(f"[csv] wrote {path}")
     return result
 
 
-def _run_diversity(args, collector=None):
-    """Diurnal + flash-crowd day; --max-n caps the device population."""
-    n_devices = diversity.DEFAULT_DEVICES
-    if args.max_n:
-        n_devices = min(n_devices, max(args.max_n, 1))
-    result = diversity.main(
-        seed=args.seed, n_devices=n_devices, collector=collector
-    )
-    if args.csv:
-        path = os.path.join(args.csv, "diversity.csv")
+def _sweep(run_sweep, default: tuple[int, ...]):
+    """A population sweep ``run_sweep(seed, populations, collector)``."""
+    return lambda a, c: _printed(run_sweep(a.seed, _populations(a, default), c))
+
+
+def _diversity_devices(args) -> int:
+    """The diversity day's population, capped by --max-n."""
+    if not args.max_n:
+        return diversity.DEFAULT_DEVICES
+    return min(diversity.DEFAULT_DEVICES, max(args.max_n, 1))
+
+
+#: name → run(args, collector).  A run prints its result; a result with a
+#: ``to_csv()`` is also written to ``<name>.csv`` under --csv.  Every run
+#: that takes the collector registers its simulations for --trace.
+_EXPERIMENTS = {
+    "fig12": lambda a, c: _printed(fig12.run_fig12(seed=a.seed, ns=_ns(a), collector=c)),
+    "fig13": lambda a, c: _printed(
+        fig13.run_fig13(base_seed=a.seed + 100, ns=_ns(a), collector=c)
+    ),
+    "faults": lambda a, c: _printed(faults.run_fault_comparison(seed=a.seed, collector=c)),
+    "overload": _sweep(overload.run_overload_sweep, overload.DEFAULT_POPULATIONS),
+    "fleet": _sweep(fleet.run_fleet_sweep, fleet.DEFAULT_POPULATIONS),
+    "streaming": lambda a, c: _printed(
+        streaming.run_streaming_comparison(seed=a.seed, collector=c)
+    ),
+    "churn": _sweep(churn.run_churn_sweep, churn.DEFAULT_POPULATIONS),
+    "diversity": lambda a, c: _printed(
+        diversity.run_diversity(seed=a.seed, n_devices=_diversity_devices(a), collector=c)
+    ),
+    "scale": _sweep(
+        lambda seed, populations, c: scale.run_scale_sweep(populations, seed=seed),
+        scale.DEFAULT_POPULATIONS,
+    ),
+    "claims": lambda a, c: claims.main(),
+    "ablations": lambda a, c: ablations.main(),
+    "extensions": lambda a, c: extensions.main(),
+}
+
+#: What ``all`` runs, in order: everything but the scale sweep, which is
+#: the perf bench (see BENCH_scale.json).
+_ALL = tuple(name for name in _EXPERIMENTS if name != "scale")
+
+
+def _run(name: str, args, collector) -> None:
+    result = _EXPERIMENTS[name](args, collector)
+    if args.csv and hasattr(result, "to_csv"):
+        path = os.path.join(args.csv, f"{name}.csv")
         with open(path, "w") as fh:
             fh.write(result.to_csv())
         print(f"[csv] wrote {path}")
-    return result
-
-
-_EXPERIMENTS = {
-    "fig12": _run_fig12,
-    "diversity": _run_diversity,
-    "scale": _run_scale,
-    "churn": _run_churn,
-    "fig13": _run_fig13,
-    "overload": _run_overload,
-    "fleet": _run_fleet,
-    "faults": lambda args, collector=None: faults.main(
-        seed=args.seed, collector=collector
-    ),
-    "streaming": lambda args, collector=None: streaming.main(
-        seed=args.seed, collector=collector
-    ),
-    "claims": lambda args, collector=None: claims.main(),
-    "ablations": lambda args, collector=None: ablations.main(),
-    "extensions": lambda args, collector=None: extensions.main(),
-}
 
 
 def _write_trace(collector: TraceCollector, path: str, fmt: str) -> None:
@@ -246,21 +179,21 @@ def main(argv: list[str] | None = None) -> int:
         "--max-n",
         type=int,
         default=None,
-        help="cap the transaction sweep at N (smaller, faster runs)",
+        help=(
+            "cap the fig12/fig13 transaction sweep, or a capstone's device "
+            "population, at N (smaller, faster runs)"
+        ),
     )
     args = parser.parse_args(argv)
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
     collector = TraceCollector() if args.trace else None
     if args.experiment == "all":
-        for name in (
-            "fig12", "fig13", "faults", "overload", "fleet", "streaming",
-            "churn", "diversity", "claims", "ablations", "extensions",
-        ):
+        for name in _ALL:
             print(f"\n### {name} " + "#" * (60 - len(name)))
-            _EXPERIMENTS[name](args, collector=collector)
+            _run(name, args, collector)
     else:
-        _EXPERIMENTS[args.experiment](args, collector=collector)
+        _run(args.experiment, args, collector)
     if collector is not None:
         if collector.runs:
             _write_trace(collector, args.trace, args.trace_format)

@@ -95,6 +95,15 @@ class ScaleSweepResult:
             "populations": [asdict(r) for r in self.populations],
         }
 
+    def to_csv(self) -> str:
+        rows = ["population,gateways,events_processed,events_per_sec"]
+        rows += [
+            f"{r.population},{r.gateways},"
+            f"{r.events_processed},{r.events_per_sec:.1f}"
+            for r in self.populations
+        ]
+        return "\n".join(rows) + "\n"
+
     def render(self) -> str:
         lines = ["Population scale sweep", "=" * 78]
         lines += [r.render() for r in self.populations]

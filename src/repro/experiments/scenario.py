@@ -36,6 +36,7 @@ from ..baselines import (
 from ..core import Deployment, DeploymentBuilder, PDAgentConfig, PDAgentPlatform
 from ..device import Device
 from ..mas import Stop
+from ..simnet.faults import FaultSchedule
 
 __all__ = [
     "EvaluationScenario",
@@ -93,6 +94,11 @@ class EvaluationScenario:
     @property
     def network(self):
         return self.deployment.network
+
+    def install(self, schedule: Optional[FaultSchedule]) -> None:
+        """Arm ``schedule`` (if any) on the network, timed from now."""
+        if schedule is not None and len(schedule):
+            schedule.install(self.network)
 
     # -- workload ------------------------------------------------------------
     def transactions(self, count: int) -> list[dict[str, Any]]:

@@ -33,15 +33,16 @@ the streaming run's session ledgers (chunks, re-opens, partials).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, ClassVar, Generator, Optional
 
 from ..compressor import decompress
 from ..core import PDAgentConfig
 from ..core.errors import PDAgentError
+from ..core.gateway import ticket_origin
 from ..simnet.faults import FaultSchedule
 from ..telemetry.exporters import TraceCollector
+from .capstone import Column, render_table
 from .faults import reference_schedule
-from .report import format_table
 from .scenario import EvaluationScenario, build_scenario
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "run_streaming_under_faults",
     "run_store_forward_under_faults",
     "run_streaming_comparison",
-    "main",
 ]
 
 #: One task is launched every PERIOD seconds, matching the fault schedule's
@@ -80,6 +80,12 @@ COLLECT_RETRY_WAIT_S = 10.0
 DEPLOY_ATTEMPTS = 3
 DEPLOY_RETRY_WAIT_S = 20.0
 
+#: Table label of each ``StreamingRunResult.approach``.
+APPROACH_NAMES = {
+    "streaming": "Streaming session",
+    "store-forward": "Store-and-forward",
+}
+
 
 @dataclass
 class StreamingRunResult:
@@ -107,6 +113,17 @@ class StreamingRunResult:
     #: Every verified result matched its plain re-download byte for byte.
     byte_identical: bool = True
     outcomes: list[dict[str, Any]] = field(default_factory=list)
+
+    COLUMNS: ClassVar[tuple[Column, ...]] = (
+        Column("approach", None, lambda r: APPROACH_NAMES[r.approach]),
+        Column("completed", None, lambda r: f"{r.completed}/{r.n_tasks}"),
+        Column("conn time (s)", None, "connection_time"),
+        Column("s/completed", None, "connection_time_per_completed"),
+        Column("mean TTFR (s)", None, "mean_ttfr"),
+        Column("min TTFR (s)", None, "min_ttfr"),
+        Column("retransmit (B)", None, "retransmitted_bytes"),
+        Column("uploaded (B)", None, "uploaded_bytes"),
+    )
 
     @property
     def completion_rate(self) -> float:
@@ -147,37 +164,10 @@ class StreamingComparison:
             return float("inf")
         return self.store_forward.mean_ttfr / self.streaming.mean_ttfr
 
-    def rows(self) -> list[list]:
-        def row(name: str, run: StreamingRunResult) -> list:
-            return [
-                name,
-                f"{run.completed}/{run.n_tasks}",
-                round(run.connection_time, 2),
-                round(run.connection_time_per_completed, 2),
-                round(run.mean_ttfr, 2),
-                round(run.min_ttfr, 2),
-                run.retransmitted_bytes,
-                run.uploaded_bytes,
-            ]
-
-        return [
-            row("Streaming session", self.streaming),
-            row("Store-and-forward", self.store_forward),
-        ]
-
     def render(self) -> str:
-        table = format_table(
-            [
-                "approach",
-                "completed",
-                "conn time (s)",
-                "s/completed",
-                "mean TTFR (s)",
-                "min TTFR (s)",
-                "retransmit (B)",
-                "uploaded (B)",
-            ],
-            self.rows(),
+        table = render_table(
+            StreamingRunResult.COLUMNS,
+            (self.streaming, self.store_forward),
             title=(
                 "Streaming sessions vs store-and-forward under the reference "
                 f"fault schedule ({self.streaming.faults_injected} fault "
@@ -196,13 +186,8 @@ class StreamingComparison:
         return f"{table}\n{extra}"
 
 
-def _install(scenario: EvaluationScenario, schedule: Optional[FaultSchedule]) -> None:
-    if schedule is not None and len(schedule):
-        schedule.install(scenario.network)
-
-
 def _upload_wire_bytes(
-    scenario: EvaluationScenario, purposes: tuple[str, ...], since: float
+    scenario: EvaluationScenario, purpose: str, since: float
 ) -> int:
     """Bytes the device actually put on the air for uploads.
 
@@ -218,7 +203,7 @@ def _upload_wire_bytes(
         for rec in scenario.network.tracer.connections
         if rec.initiator == device
         and rec.opened_at >= since
-        and any(rec.purpose.startswith(p) for p in purposes)
+        and rec.purpose.startswith(purpose)
     )
 
 
@@ -240,8 +225,7 @@ def _verify_byte_identity(
             handle = out.get("handle")
             if handle is None or not out["ok"]:
                 continue
-            head, sep, _ = handle.ticket.partition("/t-")
-            origin = head if sep else handle.gateway
+            origin = ticket_origin(handle.ticket) or handle.gateway
             try:
                 frame = yield from platform.netmanager.download_result(
                     handle.gateway, handle.ticket, origin=origin
@@ -256,32 +240,31 @@ def _verify_byte_identity(
     return all(verdicts)
 
 
-def run_streaming_under_faults(
-    seed: int = 0,
-    n_tasks: int = DEFAULT_N_TASKS,
-    n_transactions: int = DEFAULT_N_TXNS,
-    schedule: Optional[FaultSchedule] = None,
-    collector: Optional[TraceCollector] = None,
-    label: str = "streaming/session",
+def _run_under_faults(
+    streaming: bool,
+    seed: int,
+    n_tasks: int,
+    n_transactions: int,
+    schedule: Optional[FaultSchedule],
+    collector: Optional[TraceCollector],
+    label: str,
 ) -> StreamingRunResult:
-    """Run ``n_tasks`` periodic batches over chunked streaming sessions."""
-    scenario = build_scenario(
-        seed=seed,
-        n_gateways=2,
-        banks=BANKS,
-        config=PDAgentConfig(
-            selection_policy="first",
-            session_enabled=True,
-            session_chunk_bytes=CHUNK_BYTES,
-        ),
-    )
+    """``n_tasks`` periodic batches over sessions or store-and-forward."""
+    sessions_on = {"session_enabled": True, "session_chunk_bytes": CHUNK_BYTES}
+    config = PDAgentConfig(selection_policy="first", **(sessions_on if streaming else {}))
+    scenario = build_scenario(seed=seed, n_gateways=2, banks=BANKS, config=config)
     sim = scenario.sim
     platform = scenario.platform
-    _install(scenario, schedule)
+    scenario.install(schedule)
     t_base = sim.now
     txns = scenario.transactions(n_transactions)
     outcomes: list[dict[str, Any]] = []
     sessions: list = []
+    deploy = platform.deploy_streaming if streaming else platform.deploy
+    # Store-and-forward collects the realistic disconnected way: the device
+    # re-dials and polls (with the hop-progress adaptive interval) — the
+    # same footing the streaming run's session polls are on.
+    collect = platform.collect_streaming if streaming else platform.collect_poll
 
     def task(k: int) -> Generator:
         yield sim.timeout(k * TASK_PERIOD_S + UPLOAD_LEAD_S)
@@ -292,7 +275,7 @@ def run_streaming_under_faults(
         dispatch = None
         for attempt in range(DEPLOY_ATTEMPTS):
             try:
-                dispatch = yield from platform.deploy_streaming(
+                dispatch = yield from deploy(
                     "ebanking", {"transactions": txns},
                     stops=scenario.stops(), task_id=task_id,
                 )
@@ -302,11 +285,14 @@ def run_streaming_under_faults(
                 yield sim.timeout(DEPLOY_RETRY_WAIT_S)
         if dispatch is None:
             return
-        sessions.append(dispatch.session)
-        out["handle"] = dispatch.handle
+        if streaming:
+            sessions.append(dispatch.session)
+            out["handle"] = dispatch.handle
+        else:
+            out["handle"] = dispatch
         for attempt in range(COLLECT_ATTEMPTS):
             try:
-                result = yield from platform.collect_streaming(dispatch)
+                result = yield from collect(dispatch)
             except PDAgentError as exc:
                 out["detail"] = f"collect failed: {exc}"
                 yield sim.timeout(COLLECT_RETRY_WAIT_S)
@@ -314,19 +300,24 @@ def run_streaming_under_faults(
             out["ok"] = result.status == "completed"
             out["detail"] = f"status {result.status!r}"
             break
-        if out["ok"] and dispatch.session.first_partial_at is not None:
+        if not out["ok"]:
+            return
+        if not streaming:
+            out["ttfr"] = sim.now - t0
+        elif dispatch.session.first_partial_at is not None:
             out["ttfr"] = dispatch.session.first_partial_at - t0
 
-    procs = [sim.process(task(k), name=f"stream-task:{k}") for k in range(n_tasks)]
+    prefix = "stream-task" if streaming else "sf-task"
+    procs = [sim.process(task(k), name=f"{prefix}:{k}") for k in range(n_tasks)]
     sim.run(until=sim.all_of(procs))
     connection_time = scenario.network.tracer.connection_time(
         platform.device.address, since=t_base
     )
-    byte_identical = _verify_byte_identity(scenario, outcomes)
+    byte_identical = _verify_byte_identity(scenario, outcomes) if streaming else True
     if collector is not None:
         collector.add_run(label, scenario.network)
     return StreamingRunResult(
-        approach="streaming",
+        approach="streaming" if streaming else "store-forward",
         seed=seed,
         n_tasks=n_tasks,
         n_transactions=n_transactions,
@@ -334,7 +325,7 @@ def run_streaming_under_faults(
         connection_time=connection_time,
         retransmitted_bytes=platform.netmanager.retransmitted_bytes,
         uploaded_bytes=_upload_wire_bytes(
-            scenario, ("session-stream",), t_base
+            scenario, "session-stream" if streaming else "upload-pi", t_base
         ),
         faults_injected=len(scenario.network.tracer.faults),
         ttfr=[o["ttfr"] for o in outcomes if o["ttfr"] is not None],
@@ -344,6 +335,20 @@ def run_streaming_under_faults(
         push_events=sum(len(s.events) for s in sessions),
         byte_identical=byte_identical,
         outcomes=sorted(outcomes, key=lambda o: o["task"]),
+    )
+
+
+def run_streaming_under_faults(
+    seed: int = 0,
+    n_tasks: int = DEFAULT_N_TASKS,
+    n_transactions: int = DEFAULT_N_TXNS,
+    schedule: Optional[FaultSchedule] = None,
+    collector: Optional[TraceCollector] = None,
+    label: str = "streaming/session",
+) -> StreamingRunResult:
+    """Run ``n_tasks`` periodic batches over chunked streaming sessions."""
+    return _run_under_faults(
+        True, seed, n_tasks, n_transactions, schedule, collector, label
     )
 
 
@@ -361,73 +366,8 @@ def run_store_forward_under_faults(
     store-and-forward shows the user nothing until the whole document is
     down.
     """
-    scenario = build_scenario(
-        seed=seed,
-        n_gateways=2,
-        banks=BANKS,
-        config=PDAgentConfig(selection_policy="first"),
-    )
-    sim = scenario.sim
-    platform = scenario.platform
-    _install(scenario, schedule)
-    t_base = sim.now
-    txns = scenario.transactions(n_transactions)
-    outcomes: list[dict[str, Any]] = []
-
-    def task(k: int) -> Generator:
-        yield sim.timeout(k * TASK_PERIOD_S + UPLOAD_LEAD_S)
-        t0 = sim.now
-        out: dict[str, Any] = {"task": k, "ok": False, "ttfr": None, "detail": ""}
-        outcomes.append(out)
-        task_id = platform.dispatcher.new_task_id()
-        handle = None
-        for attempt in range(DEPLOY_ATTEMPTS):
-            try:
-                handle = yield from platform.deploy(
-                    "ebanking", {"transactions": txns},
-                    stops=scenario.stops(), task_id=task_id,
-                )
-                break
-            except PDAgentError as exc:
-                out["detail"] = f"deploy failed: {exc}"
-                yield sim.timeout(DEPLOY_RETRY_WAIT_S)
-        if handle is None:
-            return
-        out["handle"] = handle
-        for attempt in range(COLLECT_ATTEMPTS):
-            try:
-                # Realistic disconnected operation: the device re-dials and
-                # polls (with the hop-progress adaptive interval) — the
-                # same footing the streaming run's session polls are on.
-                result = yield from platform.collect_poll(handle)
-            except PDAgentError as exc:
-                out["detail"] = f"collect failed: {exc}"
-                yield sim.timeout(COLLECT_RETRY_WAIT_S)
-                continue
-            out["ok"] = result.status == "completed"
-            out["detail"] = f"status {result.status!r}"
-            break
-        if out["ok"]:
-            out["ttfr"] = sim.now - t0
-
-    procs = [sim.process(task(k), name=f"sf-task:{k}") for k in range(n_tasks)]
-    sim.run(until=sim.all_of(procs))
-    if collector is not None:
-        collector.add_run(label, scenario.network)
-    return StreamingRunResult(
-        approach="store-forward",
-        seed=seed,
-        n_tasks=n_tasks,
-        n_transactions=n_transactions,
-        completed=sum(1 for o in outcomes if o["ok"]),
-        connection_time=scenario.network.tracer.connection_time(
-            platform.device.address, since=t_base
-        ),
-        retransmitted_bytes=platform.netmanager.retransmitted_bytes,
-        uploaded_bytes=_upload_wire_bytes(scenario, ("upload-pi",), t_base),
-        faults_injected=len(scenario.network.tracer.faults),
-        ttfr=[o["ttfr"] for o in outcomes if o["ttfr"] is not None],
-        outcomes=sorted(outcomes, key=lambda o: o["task"]),
+    return _run_under_faults(
+        False, seed, n_tasks, n_transactions, schedule, collector, label
     )
 
 
@@ -451,14 +391,3 @@ def run_streaming_comparison(
         ),
     )
 
-
-def main(
-    seed: int = 0, collector: Optional[TraceCollector] = None
-) -> StreamingComparison:
-    comparison = run_streaming_comparison(seed=seed, collector=collector)
-    print(comparison.render())
-    return comparison
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,43 +23,7 @@ import io
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from ..apps.auction import (
-    AuctionHouseServiceAgent,
-    AuctionSnipeAgent,
-    auction_service_code,
-    make_lots,
-)
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..apps.foodsearch import (
-    DirectoryServiceAgent,
-    FoodSearchAgent,
-    foodsearch_service_code,
-    make_listings,
-)
-from ..apps.jobfarm import (
-    GridForemanServiceAgent,
-    GridWorkerServiceAgent,
-    JobCourierAgent,
-    JobFarmAgent,
-    jobfarm_service_code,
-)
-from ..apps.mcommerce import (
-    ShoppingAgent,
-    VendorServiceAgent,
-    make_inventory,
-    mcommerce_service_code,
-)
-from ..apps.ridedispatch import (
-    DriverBoardServiceAgent,
-    RideDispatchAgent,
-    make_drivers,
-    ridedispatch_service_code,
-)
+from ..apps import add_app_sites, make_transactions
 from ..core import DeploymentBuilder, PDAgentConfig
 from ..core.deployment import Deployment
 from ..core.errors import (
@@ -198,34 +162,7 @@ def build_deployment(spec: ScenarioSpec) -> Deployment:
     builder.add_central("central")
     for gw in spec.gateways:
         builder.add_gateway(gw)
-    sites = spec.sites
-    for i, site in enumerate(sites):
-        partner = sites[(i + 1) % len(sites)] if len(sites) > 1 else ""
-        builder.add_site(
-            site,
-            services=[
-                BankServiceAgent(bank_name=site),
-                DirectoryServiceAgent(make_listings(i), partner=partner),
-                VendorServiceAgent(make_inventory(i)),
-                DriverBoardServiceAgent(make_drivers(i)),
-                AuctionHouseServiceAgent(make_lots(i)),
-                GridWorkerServiceAgent(),
-                GridForemanServiceAgent(),
-            ],
-        )
-    builder.register_agent_class(EBankingAgent)
-    builder.register_agent_class(FoodSearchAgent)
-    builder.register_agent_class(ShoppingAgent)
-    builder.register_agent_class(RideDispatchAgent)
-    builder.register_agent_class(AuctionSnipeAgent)
-    builder.register_agent_class(JobFarmAgent)
-    builder.register_agent_class(JobCourierAgent)
-    builder.publish(ebanking_service_code())
-    builder.publish(foodsearch_service_code())
-    builder.publish(mcommerce_service_code())
-    builder.publish(ridedispatch_service_code())
-    builder.publish(auction_service_code())
-    builder.publish(jobfarm_service_code())
+    add_app_sites(builder, spec.sites)
     # Access points: router nodes between device radios and the backbone,
     # so mobility (re-homing to another AP) and AP-uplink faults are real
     # topology events, not no-ops.
@@ -359,35 +296,13 @@ class _Harness:
         #: session invariants audit these ledgers against the gateways.
         self.sessions: list[tuple[str, Any]] = []
 
-    # -- fleet-aware ticket addressing ------------------------------------
-    def _ticket_home(self, fallback: str, ticket_id: str) -> str:
-        """The gateway a ticket lives on: its id prefix (fleet handoff may
-        hand a device a ticket minted elsewhere), else the deploy target."""
-        origin, sep, _ = ticket_id.partition("/t-")
-        if sep and origin in self.deployment.gateways:
-            return origin
-        return fallback
-
     def _birth(self, handle) -> None:
         self.ticket_births.append(
-            (self._ticket_home(handle.gateway, handle.ticket), handle.ticket)
+            (
+                self.deployment.ticket_home(handle.ticket, handle.gateway),
+                handle.ticket,
+            )
         )
-
-    def _await_ticket_final(self, handle) -> Generator:
-        """Wait for the handle's ticket to finalize, following supersede
-        pointers: a locally-accepted ticket the reconciler later superseded
-        finalizes as "superseded" while the *winner* keeps running."""
-        gateway = self._ticket_home(handle.gateway, handle.ticket)
-        ticket = self.deployment.gateway(gateway).ticket(handle.ticket)
-        for _ in range(4):
-            yield ticket.completed
-            if ticket.status == "superseded" and ticket.superseded_by:
-                gateway = self._ticket_home(gateway, ticket.superseded_by)
-                ticket = self.deployment.gateway(gateway).ticket(
-                    ticket.superseded_by
-                )
-                continue
-            return
 
     # -- one logical user task -------------------------------------------
     def _drive(
@@ -480,7 +395,9 @@ class _Harness:
             # Tickets are durable, so the completion event survives gateway
             # crashes; the watchdog guarantees it fires (status "failed")
             # even if the agent is lost for good.
-            yield from self._await_ticket_final(handle)
+            yield from self.deployment.await_final_ticket(
+                handle.ticket, handle.gateway
+            )
             last = None
             for _ in range(COLLECT_ATTEMPTS):
                 try:

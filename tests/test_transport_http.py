@@ -39,6 +39,28 @@ class TestTransport:
         # refused connections are still ledgered (the device dialled)
         assert net.tracer.counters["connections_refused"] == 1
 
+    def test_close_after_run_close_out_is_a_ledger_noop(self):
+        """A socket closed after ``Tracer.finalize()`` stamped its record
+        truncated (a generator torn down after the run was exported) must
+        not raise: the record keeps its close-out stamp."""
+        net = make_net()
+        net.node("server").listen(1234, lambda conn: None)
+
+        def client():
+            return (yield from connect(net, "client", "server", 1234))
+
+        proc = net.sim.process(client())
+        net.sim.run(until=proc)
+        sock = proc.value
+        net.sim.timeout(2.0)
+        net.sim.run()
+        assert net.tracer.finalize() == 1
+        record = net.tracer.connections[0]
+        closed_at = record.closed_at
+        sock.close()
+        assert record.truncated and record.closed_at == closed_at
+        assert not sock.connection.is_open
+
     def test_round_trip_message(self):
         net = make_net()
         server_log = []
