@@ -71,10 +71,6 @@ class BitReader:
         self._pos = 0  # bit position
         self._nbits = len(data) * 8
 
-    @property
-    def bits_remaining(self) -> int:
-        return self._nbits - self._pos
-
     def read_bit(self) -> int:
         pos = self._pos
         if pos >= self._nbits:

@@ -36,6 +36,11 @@ from .subscription import ServiceCatalog, ServiceCode, SubscriptionDirectory
 
 __all__ = ["Deployment", "DeploymentBuilder"]
 
+#: RSA modulus size for gateway keys.
+RSA_BITS = 512
+#: Virtual nodes per gateway on the fleet's hash ring.
+FLEET_REPLICAS = 32
+
 
 @dataclass
 class Deployment:
@@ -113,7 +118,7 @@ class DeploymentBuilder:
         self.registry = AgentClassRegistry()
         self.catalog = ServiceCatalog()
         self.directory = SubscriptionDirectory()
-        self.vault = KeyVault(bits=self.config.rsa_bits, seed=master_seed)
+        self.vault = KeyVault(bits=RSA_BITS, seed=master_seed)
         self.mas_flavour = mas_flavour
         self._central_address: Optional[str] = None
         self._central: Optional[CentralServer] = None
@@ -236,9 +241,7 @@ class DeploymentBuilder:
             raise ValueError("deployment needs at least one gateway")
         fleet = None
         if self.config.fleet_enabled:
-            fleet = Fleet(
-                sorted(self._gateways), replicas=self.config.fleet_replicas
-            )
+            fleet = Fleet(sorted(self._gateways), replicas=FLEET_REPLICAS)
             for gateway in self._gateways.values():
                 gateway.enable_fleet(fleet)
             for platform in self._platforms.values():

@@ -73,6 +73,19 @@ FLEET_RELEASE_PATH = "/fleet/release"
 FLEET_HEARTBEAT_PATH = "/fleet/heartbeat"
 FLEET_MIGRATE_PATH = "/fleet/migrate"
 
+#: Claim RPC rounds against the owner before handoff, and the per-round
+#: timeout (seconds).
+FLEET_CLAIM_ATTEMPTS = 2
+FLEET_CLAIM_TIMEOUT_S = 3.0
+#: Forwarding circuit breaker: consecutive claim failures before an owner
+#: is presumed down, and the cooldown before a half-open retry.
+FLEET_BREAKER_THRESHOLD = 2
+FLEET_BREAKER_COOLDOWN_S = 15.0
+#: Release retries (and the pause between them) before counting
+#: ``fleet.release_failed`` and letting the stale binding age out.
+FLEET_RELEASE_ATTEMPTS = 3
+FLEET_RELEASE_RETRY_S = 2.0
+
 #: Member lifecycle states.  ``joining`` members are known but not yet on
 #: the ring; ``draining`` members are leaving gracefully (out of the ring,
 #: still answering); ``down`` members failed the suspicion probe.
@@ -349,15 +362,11 @@ class FleetClient:
     def __init__(self, gateway: "Gateway", fleet: Fleet) -> None:
         self.gateway = gateway
         self.fleet = fleet
-        config = gateway.config
         self.breaker = CircuitBreaker(
             gateway.sim,
-            threshold=config.fleet_breaker_threshold,
-            cooldown=config.fleet_breaker_cooldown_s,
+            threshold=FLEET_BREAKER_THRESHOLD,
+            cooldown=FLEET_BREAKER_COOLDOWN_S,
         )
-
-    def owner_of(self, task_id: str) -> str:
-        return self.fleet.owner(task_id)
 
     # ------------------------------------------------------------ claim RPC
     def claim(
@@ -381,7 +390,7 @@ class FleetClient:
         gw = self.gateway
         tracer = gw.network.tracer
         owner = self.fleet.owner(task_id)
-        for _attempt in range(gw.config.fleet_claim_attempts):
+        for _attempt in range(FLEET_CLAIM_ATTEMPTS):
             owner = self.fleet.owner(task_id)
             if owner == gw.address:
                 return ("local", "", "")
@@ -440,7 +449,7 @@ class FleetClient:
             self._rpc(target, FLEET_CLAIM_PATH, body, purpose="fleet-claim"),
             name=f"fleet-claim:{ticket_id}",
         )
-        deadline = sim.timeout(gw.config.fleet_claim_timeout_s)
+        deadline = sim.timeout(FLEET_CLAIM_TIMEOUT_S)
         fired = yield sim.any_of([rpc, deadline])
         if rpc not in fired:
             # Timed out.  The RPC is left running: the owner's bind is
@@ -500,8 +509,7 @@ class FleetClient:
         """
         gw = self.gateway
         body = release_request(task_id, ticket_id)
-        attempts = gw.config.fleet_release_attempts
-        for attempt in range(attempts):
+        for attempt in range(FLEET_RELEASE_ATTEMPTS):
             # Re-resolve per attempt: an epoch change may have moved the
             # task home (nothing to release) or to a reachable owner.
             owner = self.fleet.owner(task_id)
@@ -514,8 +522,8 @@ class FleetClient:
                 if attempt:
                     gw.network.tracer.count("fleet.release_recovered")
                 return
-            if attempt + 1 < attempts:
-                yield gw.sim.timeout(gw.config.fleet_release_retry_s)
+            if attempt + 1 < FLEET_RELEASE_ATTEMPTS:
+                yield gw.sim.timeout(FLEET_RELEASE_RETRY_S)
         gw.network.tracer.count("fleet.release_failed")
 
     def _rpc(

@@ -79,6 +79,30 @@ __all__ = [
     "ticket_origin",
 ]
 
+#: Fixed servlet overhead per gateway request (seconds).
+GATEWAY_SERVICE_TIME = 0.008
+#: The "download" admission class (result/agent-op requests: cheap and
+#: latency-sensitive, so a separate pool uploads can never starve).
+GATEWAY_DOWNLOAD_WORKERS = 32
+DOWNLOAD_QUEUE_LIMIT = 128
+#: The "session" admission class (streaming chunks, polls, hop reports).
+GATEWAY_SESSION_WORKERS = 8
+SESSION_QUEUE_LIMIT = 32
+#: Result retention: seconds past the *first successful download* after
+#: which the result document expires and its workspace is reclaimed.
+RESULT_TTL_S = 600.0
+#: Reconciliation of a local-accepted task: re-claim every interval, at
+#: most this many times, then abandon.
+FLEET_RECONCILE_INTERVAL_S = 5.0
+FLEET_RECONCILE_ATTEMPTS = 10
+#: Suspicion probe cadence, and the timeout of one heartbeat round-trip.
+FLEET_HEARTBEAT_INTERVAL_S = 1.0
+#: Migration wire protocol: items per /fleet/migrate batch and send
+#: attempts per batch (idempotent — a resend is first-wins at the
+#: receiver, so retries are safe).
+FLEET_MIGRATE_BATCH = 32
+FLEET_MIGRATE_ATTEMPTS = 3
+
 GATEWAY_PORT = 80
 #: Request header carrying the device task id: the exactly-once fast path —
 #: the gateway can dedup a retried upload before paying the unpack cost.
@@ -498,8 +522,8 @@ class Gateway:
         )
         self.admission.add_class(
             "download",
-            workers=self.config.gateway_download_workers,
-            queue_limit=self.config.download_queue_limit,
+            workers=GATEWAY_DOWNLOAD_WORKERS,
+            queue_limit=DOWNLOAD_QUEUE_LIMIT,
             retry_after_s=self.config.shed_retry_after_s,
         )
         # Streaming session traffic (chunks, polls, hop reports) gets its
@@ -508,8 +532,8 @@ class Gateway:
         # slot for the dispatch itself — different pools, no deadlock.
         self.admission.add_class(
             "session",
-            workers=self.config.gateway_session_workers,
-            queue_limit=self.config.session_queue_limit,
+            workers=GATEWAY_SESSION_WORKERS,
+            queue_limit=SESSION_QUEUE_LIMIT,
             retry_after_s=self.config.shed_retry_after_s,
         )
         #: Streaming session layer (resumable uploads, partial streams,
@@ -518,9 +542,7 @@ class Gateway:
         #: unless ``config.session_enabled``.
         self.sessions = SessionManager(self)
         self.catalog.add_listener(self.sessions.notify_service_updated)
-        self.http = HttpServer(
-            self.node, port=port, service_time=self.config.gateway_service_time
-        )
+        self.http = HttpServer(self.node, port=port, service_time=GATEWAY_SERVICE_TIME)
         self.http.route("/subscribe", self._handle_subscribe)
         self.http.route("/pi", self._handle_pi)
         self.http.route("/result/", self._handle_result)
@@ -752,7 +774,7 @@ class Gateway:
         this ticket instead of dispatching a fresh agent — unless
         ``dedup_ttl_s`` arms its expiry, bounding the index for long runs.
         """
-        yield self.sim.timeout(self.config.result_ttl_s)
+        yield self.sim.timeout(RESULT_TTL_S)
         if self.storage.tickets.get(ticket.ticket_id) is not ticket:
             return  # migrated away (drain/rebalance): the new home owns TTL
         if ticket.result_frame is None:
@@ -848,9 +870,8 @@ class Gateway:
         )
 
     def _reconcile(self, task_id: str, ticket: Ticket) -> Generator:
-        config = self.config
-        for _ in range(config.fleet_reconcile_attempts):
-            yield self.sim.timeout(config.fleet_reconcile_interval_s)
+        for _ in range(FLEET_RECONCILE_ATTEMPTS):
+            yield self.sim.timeout(FLEET_RECONCILE_INTERVAL_S)
             if self._unreconciled.get(task_id) != ticket.ticket_id:
                 return  # released, superseded, or failed meanwhile
             verdict, winner, _agent = yield from self.fleet_client.claim(
@@ -1144,10 +1165,9 @@ class Gateway:
         if ticket.first_downloaded_at is None:
             ticket.first_downloaded_at = self.sim.now
             self.storage.tickets.persist(ticket)
-            if self.config.result_ttl_s > 0:
-                self.sim.process(
-                    self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
-                )
+            self.sim.process(
+                self._expire_result(ticket), name=f"gw-expire:{ticket.ticket_id}"
+            )
         return HttpResponse(
             200, body=ticket.result_frame, body_size=len(ticket.result_frame)
         )
@@ -1510,11 +1530,7 @@ class Gateway:
                     self.storage.sessions.append_partial(
                         ticket.ticket_id, json.loads(child.text)
                     )
-            if (
-                ticket.result_frame is not None
-                and ticket.first_downloaded_at is not None
-                and self.config.result_ttl_s > 0
-            ):
+            if ticket.result_frame is not None and ticket.first_downloaded_at is not None:
                 # The origin's TTL timer died with the migration; restart
                 # retention from arrival here.
                 self.sim.process(
@@ -1607,8 +1623,7 @@ class Gateway:
 
     def _probe_suspect(self, member: str) -> Generator:
         view = self.fleet.view
-        config = self.config
-        deadline = self.sim.now + config.fleet_suspicion_timeout_s
+        deadline = self.sim.now + self.config.fleet_suspicion_timeout_s
         try:
             while True:
                 if self.node.crashed or view.state(member) != "active":
@@ -1623,7 +1638,7 @@ class Gateway:
                     self.network.tracer.count("fleet.marked_down")
                     view.mark_down(member)
                     return
-                yield self.sim.timeout(config.fleet_heartbeat_interval_s)
+                yield self.sim.timeout(FLEET_HEARTBEAT_INTERVAL_S)
         finally:
             self._probing.discard(member)
 
@@ -1636,7 +1651,7 @@ class Gateway:
             ),
             name=f"fleet-hb:{member}",
         )
-        deadline = self.sim.timeout(self.config.fleet_heartbeat_interval_s)
+        deadline = self.sim.timeout(FLEET_HEARTBEAT_INTERVAL_S)
         fired = yield self.sim.any_of([rpc, deadline])
         if rpc not in fired:
             return False
@@ -1773,11 +1788,10 @@ class Gateway:
                     self._session_element(record)
                 )
         migrated = 0
-        batch_size = self.config.fleet_migrate_batch
         for dest in sorted(per_dest):
             elements = per_dest[dest]
-            for start in range(0, len(elements), batch_size):
-                chunk = elements[start : start + batch_size]
+            for start in range(0, len(elements), FLEET_MIGRATE_BATCH):
+                chunk = elements[start : start + FLEET_MIGRATE_BATCH]
                 sent = yield from self._send_migrate_batch(dest, chunk)
                 if sent:
                     migrated += len(chunk)
@@ -1797,8 +1811,7 @@ class Gateway:
         for el in elements:
             doc.append(el)
         body = write_bytes(doc)
-        attempts = self.config.fleet_migrate_attempts
-        for attempt in range(attempts):
+        for attempt in range(FLEET_MIGRATE_ATTEMPTS):
             ok, _payload = yield from self.fleet_client._rpc(
                 dest, FLEET_MIGRATE_PATH, body, purpose="fleet-migrate"
             )
@@ -1807,7 +1820,7 @@ class Gateway:
                     self._migrate_commit(el)
                 self.network.tracer.count("fleet.migrated_out", len(elements))
                 return True
-            if attempt + 1 < attempts:
+            if attempt + 1 < FLEET_MIGRATE_ATTEMPTS:
                 yield self.sim.timeout(1.0)
         self.network.tracer.count("fleet.migrate_failed")
         return False
@@ -1941,11 +1954,10 @@ class Gateway:
                 copies.append(el)
         moved = 0
         move_ids = {id(el) for el in moves}
-        batch_size = self.config.fleet_migrate_batch
         for dest in sorted(per_dest):
             elements = per_dest[dest]
-            for start in range(0, len(elements), batch_size):
-                chunk = elements[start : start + batch_size]
+            for start in range(0, len(elements), FLEET_MIGRATE_BATCH):
+                chunk = elements[start : start + FLEET_MIGRATE_BATCH]
                 doc = Element(
                     "migrate",
                     {"from": self.address, "epoch": str(view.epoch)},

@@ -256,7 +256,7 @@ class NetworkManager:
         """
         sim = self.network.sim
         policy = self.retry_policy
-        deadline = sim.now + policy.deadline_for(purpose)
+        deadline = sim.now + policy.deadline
         attempt = 1
         span = self.network.telemetry.start_span(
             f"net.{purpose}",

@@ -49,6 +49,17 @@ __all__ = [
     "StreamingDispatch",
 ]
 
+#: Consecutive failures before the device's circuit breaker skips a gateway.
+BREAKER_THRESHOLD = 2
+#: Poll-based collection: interval between polls (seconds) and the number
+#: of polls before giving up.
+POLL_INTERVAL = 5.0
+MAX_POLLS = 240
+#: Partial-result poll cadence while a streaming session is open (seconds)
+#: — much tighter than ``POLL_INTERVAL`` because the session answers from
+#: memory and flushes queued push events on the same contact.
+SESSION_POLL_INTERVAL_S = 2.0
+
 
 @dataclass(frozen=True)
 class DispatchHandle:
@@ -109,7 +120,7 @@ class PDAgentPlatform:
         self.retry_policy = RetryPolicy.from_config(self.config)
         self.breaker = CircuitBreaker(
             device.sim,
-            threshold=self.config.breaker_threshold,
+            threshold=BREAKER_THRESHOLD,
             cooldown=self.config.breaker_cooldown_s,
         )
         self.netmanager = NetworkManager(
@@ -321,22 +332,21 @@ class PDAgentPlatform:
     def collect_poll(self, handle: DispatchHandle) -> Generator:
         """Process: poll :meth:`collect` until the result is ready.
 
-        Each poll is a real (short) connection; the poll interval is
-        configured by :attr:`~repro.core.config.PDAgentConfig.poll_interval`.
+        Each poll is a real (short) connection, ``POLL_INTERVAL`` apart.
         When the gateway's "not ready" answer carries hop progress, the
         next wait stretches with the hops still ahead of the agent —
         a tour with five sites to go is not worth re-dialling for in one
         base interval.
         """
-        for _ in range(self.config.max_polls):
+        for _ in range(MAX_POLLS):
             try:
                 result = yield from self.collect(handle)
                 return result
             except ResultNotReadyError as exc:
                 scale = max(1, exc.hops_remaining or 0)
-                yield self.device.sim.timeout(self.config.poll_interval * scale)
+                yield self.device.sim.timeout(POLL_INTERVAL * scale)
         raise ResultNotReadyError(
-            f"{handle.ticket}: no result after {self.config.max_polls} polls"
+            f"{handle.ticket}: no result after {MAX_POLLS} polls"
         )
 
     # ------------------------------------------------------------ streaming sessions
@@ -451,9 +461,9 @@ class PDAgentPlatform:
         degrades gracefully to the classic :meth:`collect_poll` loop.
         """
         session = dispatch.session
-        base = self.config.session_poll_interval_s
+        base = SESSION_POLL_INTERVAL_S
         interval = base
-        for _ in range(self.config.max_polls):
+        for _ in range(MAX_POLLS):
             if session.result_ready:
                 break
             try:
@@ -473,7 +483,7 @@ class PDAgentPlatform:
         else:
             raise ResultNotReadyError(
                 f"{dispatch.handle.ticket}: no result after "
-                f"{self.config.max_polls} session polls"
+                f"{MAX_POLLS} session polls"
             )
         result = yield from self.collect(dispatch.handle)
         yield from session.close()

@@ -6,7 +6,7 @@ half of that promise.  A :class:`RetryPolicy` describes how the Network
 Manager re-attempts a failed exchange — bounded attempts, exponential
 backoff with *deterministic* jitter drawn from a named
 :class:`~repro.simnet.rng.Stream` (so two runs with the same master seed
-retry at byte-for-byte identical times), and per-purpose deadlines.  A
+retry at byte-for-byte identical times), within one deadline.  A
 :class:`CircuitBreaker` remembers which gateways recently failed so
 selection can skip them while they cool down, instead of burning the
 wireless link on probes and uploads that will be refused.
@@ -14,8 +14,8 @@ wireless link on probes and uploads that will be refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.kernel import Simulator
@@ -25,28 +25,27 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RetryPolicy", "CircuitBreaker"]
 
 
+#: Backoff before retry ``k`` (1-based) is
+#: ``min(RETRY_BASE_DELAY * RETRY_BACKOFF_FACTOR**(k-1), RETRY_MAX_DELAY)``,
+#: scaled by ``1 + RETRY_JITTER * U(-1, 1)`` drawn from the caller's stream.
+RETRY_BASE_DELAY = 0.5
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_MAX_DELAY = 8.0
+RETRY_JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a device-side exchange is retried after transport failures.
 
-    The delay before retry ``k`` (1-based) is::
-
-        min(base_delay * backoff_factor**(k-1), max_delay) * (1 + jitter*U(-1,1))
-
-    with the uniform draw taken from the caller's named RNG stream, so
-    backoff timing is reproducible from the master seed.  ``deadline``
-    bounds the whole logical exchange (attempts + backoff) in simulated
-    seconds; ``per_purpose_deadlines`` overrides it for specific purposes
-    (e.g. a tighter budget for probes than for PI uploads).
+    Backoff follows the module's ``RETRY_*`` constants, with the uniform
+    jitter draw taken from the caller's named RNG stream, so backoff timing
+    is reproducible from the master seed.  ``deadline`` bounds the whole
+    logical exchange (attempts + backoff) in simulated seconds.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.5
-    backoff_factor: float = 2.0
-    max_delay: float = 8.0
-    jitter: float = 0.1
     deadline: float = 60.0
-    per_purpose_deadlines: Mapping[str, float] = field(default_factory=dict)
     #: Upper bound on a server-advertised Retry-After actually waited: a
     #: 503 shed sleeps the advertised delay and retries the same exchange
     #: ("shed, retry later").  Sheds never feed the breaker.
@@ -55,17 +54,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         if self.deadline <= 0:
             raise ValueError("deadline must be positive")
-        for purpose, value in self.per_purpose_deadlines.items():
-            if value <= 0:
-                raise ValueError(f"deadline for {purpose!r} must be positive")
         if self.retry_after_cap <= 0:
             raise ValueError("retry_after_cap must be positive")
 
@@ -73,26 +63,19 @@ class RetryPolicy:
     def from_config(cls, config: "PDAgentConfig") -> "RetryPolicy":
         return cls(
             max_attempts=config.retry_max_attempts,
-            base_delay=config.retry_base_delay,
-            backoff_factor=config.retry_backoff_factor,
-            max_delay=config.retry_max_delay,
-            jitter=config.retry_jitter,
             deadline=config.retry_deadline_s,
             retry_after_cap=config.retry_after_cap_s,
         )
-
-    def deadline_for(self, purpose: str) -> float:
-        return self.per_purpose_deadlines.get(purpose, self.deadline)
 
     def backoff_delay(self, attempt: int, stream: Optional["Stream"] = None) -> float:
         """Backoff before retry ``attempt`` (1-based), jittered from ``stream``."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
         nominal = min(
-            self.base_delay * self.backoff_factor ** (attempt - 1), self.max_delay
+            RETRY_BASE_DELAY * RETRY_BACKOFF_FACTOR ** (attempt - 1), RETRY_MAX_DELAY
         )
-        if self.jitter and stream is not None:
-            nominal *= 1.0 + self.jitter * stream.uniform(-1.0, 1.0)
+        if stream is not None:
+            nominal *= 1.0 + RETRY_JITTER * stream.uniform(-1.0, 1.0)
         return nominal
 
 

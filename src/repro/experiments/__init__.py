@@ -24,7 +24,6 @@
 """
 
 from .stats import flatness, growth_ratio, linear_fit, mean_ci
-from .sweep import SweepCell, SweepGrid, sweep
 from .faults import (
     FaultComparison,
     FaultRunResult,
@@ -58,9 +57,6 @@ __all__ = [
     "flatness",
     "mean_ci",
     "growth_ratio",
-    "sweep",
-    "SweepGrid",
-    "SweepCell",
     "EvaluationScenario",
     "PDAgentRunMetrics",
     "build_scenario",

@@ -91,14 +91,6 @@ class MobileAgent:
         """Behaviour executed per delivered message.  Must be a generator."""
         yield ctx.idle()
 
-    # -- convenience -----------------------------------------------------------
-    @property
-    def is_home(self) -> bool:
-        """True when the agent currently resides at its home server."""
-        return self.lifecycle is not AgentState.MIGRATING and self._location_is_home
-
-    _location_is_home: bool = True  # maintained by the hosting server
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{self.class_name} id={self.agent_id!r} "

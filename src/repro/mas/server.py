@@ -346,7 +346,6 @@ class MobileAgentServer:
         agent.hops = snapshot.hops
         agent.trace_ctx = snapshot.trace
         self._agents[agent.agent_id] = agent
-        agent._location_is_home = agent.home == self.address
         agent.lifecycle = AgentState.IDLE
         self.network.tracer.count("agents_activated")
         return agent
@@ -407,7 +406,6 @@ class MobileAgentServer:
         completed stop if this site dies under the agent.
         """
         self._agents[agent.agent_id] = agent
-        agent._location_is_home = agent.home == self.address
         if agent.home == self.address:
             self._locations[agent.agent_id] = self.address
             if self.checkpointing:

@@ -147,11 +147,6 @@ class RecordStore:
         """Payload + per-record overhead currently charged to the quota."""
         return sum(len(v) + RECORD_OVERHEAD_BYTES for v in self._records.values())
 
-    @property
-    def next_record_id(self) -> int:
-        """The id the next :meth:`add_record` will return."""
-        return self._next_id
-
     # -- listeners -----------------------------------------------------------
     def add_listener(self, listener: RecordListener) -> None:
         if listener not in self._listeners:
@@ -216,10 +211,6 @@ class RecordStore:
         self._manager._release(len(data) + RECORD_OVERHEAD_BYTES)
         self._version += 1
         self._notify("record_deleted", record_id)
-
-    def record_ids(self) -> list[int]:
-        """All record ids in insertion (= id) order."""
-        return sorted(self._records)
 
     def enumerate(
         self,

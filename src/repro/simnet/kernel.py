@@ -53,7 +53,6 @@ class Simulator:
         # Heap entries: (time, is_not_priority, sequence, event).
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._event_count = 0
 
     # -- clock -------------------------------------------------------------
@@ -61,11 +60,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between resumptions)."""
-        return self._active_process
 
     @property
     def events_processed(self) -> int:

@@ -273,7 +273,6 @@ class Process(Event):
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._target = None
-        self.sim._active_process = self
         try:
             if trigger._ok:
                 next_event = self._generator.send(trigger._value)
@@ -291,8 +290,6 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        finally:
-            self.sim._active_process = None
         if not isinstance(next_event, Event):
             self._generator.throw(
                 TypeError(f"process yielded non-event {next_event!r}")

@@ -69,18 +69,17 @@ class _Series:
 class Tracer:
     """Per-network metric sink.
 
-    Since the telemetry subsystem landed, the tracer doubles as a compat
-    shim: every ``count``/``record`` call is mirrored into the shared
-    :class:`~repro.telemetry.metrics.MetricsRegistry` (counters, and
-    histograms for distribution summaries) so existing call sites feed the
-    new aggregation layer without changing.  The ``counters`` defaultdict
-    keeps its original read semantics — unknown names read as 0.
+    Counters and distribution summaries live in the shared
+    :class:`~repro.telemetry.metrics.MetricsRegistry`: ``count`` increments
+    a registry counter and ``record``/``observe`` feed a registry histogram.
+    ``counters`` is the registry's read-only view of counter values, in
+    which unknown names read as 0.
     """
 
     def __init__(self, sim: "Simulator", metrics: Optional[MetricsRegistry] = None) -> None:
         self.sim = sim
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters: dict[str, int] = defaultdict(int)
+        self.counters = self.metrics.counter_values
         self._series: dict[str, _Series] = defaultdict(_Series)
         self.connections: list[ConnectionRecord] = []
         self.faults: list[FaultRecord] = []
@@ -93,7 +92,6 @@ class Tracer:
     # -- counters / series -----------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        self.counters[name] += n
         counter = self._counter_cache.get(name)
         if counter is None:
             counter = self._counter_cache[name] = self.metrics.counter(name)
@@ -208,7 +206,6 @@ class Tracer:
 
     def reset(self) -> None:
         """Clear all metrics (ledger, counters, series)."""
-        self.counters.clear()
         self._series.clear()
         self.connections.clear()
         self.faults.clear()

@@ -135,7 +135,6 @@ def _config_for(spec: ScenarioSpec) -> PDAgentConfig:
             # Membership lifecycle: tight deterministic timers so failure
             # detection, drain quiesce, and rejoin all settle well inside
             # the horizon even when a scenario stacks churn on faults.
-            fleet_heartbeat_interval_s=1.0,
             fleet_suspicion_timeout_s=4.0,
             fleet_drain_timeout_s=20.0,
         )

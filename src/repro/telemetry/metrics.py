@@ -16,10 +16,12 @@ microsecond precision.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator, Mapping
 from typing import Optional, Sequence
 
 __all__ = [
     "Counter",
+    "CounterValues",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -55,6 +57,35 @@ class Counter:
         if n < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (n={n})")
         self.value += n
+
+
+class CounterValues(Mapping):
+    """Read-only ``name -> value`` view of a registry's counters.
+
+    Unknown names read as 0 without creating a counter.
+    """
+
+    __slots__ = ("_counters",)
+
+    def __init__(self, counters: dict[str, Counter]) -> None:
+        self._counters = counters
+
+    def __getitem__(self, name: str) -> int:
+        counter = self._counters.get(name)
+        return 0 if counter is None else counter.value
+
+    def get(self, name: str, default: Optional[int] = None) -> Optional[int]:
+        counter = self._counters.get(name)
+        return default if counter is None else counter.value
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._counters
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._counters)
+
+    def __len__(self) -> int:
+        return len(self._counters)
 
 
 class Gauge:
@@ -171,6 +202,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Every counter's value by name (live; unknown names read as 0).
+        self.counter_values = CounterValues(self._counters)
 
     def _check_free(self, name: str, table: dict) -> None:
         for kind, other in (

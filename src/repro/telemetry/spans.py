@@ -233,9 +233,6 @@ class Telemetry:
     def trace(self, trace_id: str) -> list[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def spans_named(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
-
     def open_spans(self) -> list[Span]:
         return [s for s in self.spans if s.open]
 

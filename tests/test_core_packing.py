@@ -48,16 +48,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             PDAgentConfig(selection_policy="psychic")
 
-    def test_bad_probe_size(self):
-        with pytest.raises(ValueError):
-            PDAgentConfig(probe_size=0)
-
-    def test_with_creates_modified_copy(self):
-        base = PDAgentConfig()
-        variant = base.with_(codec="null")
-        assert variant.codec == "null"
-        assert base.codec == "lzss"
-
     def test_pack_cost_includes_encryption(self):
         enc = PDAgentConfig(encrypt=True).pack_cost(4096)
         plain = PDAgentConfig(encrypt=False).pack_cost(4096)

@@ -5,10 +5,14 @@ sweeps so the suite stays fast; the full sweeps run from the benchmark
 harness / CLI.
 """
 
+import pathlib
+
 import pytest
 
+import repro
 from repro.experiments.claims import (
     DEVICE_SIDE_MODULES,
+    code_bytes,
     run_claim_code_sizes,
     run_claim_footprint,
 )
@@ -144,6 +148,37 @@ class TestClaims:
         # of magnitude (tens to a few hundred KB)
         kb = run_claim_footprint().total_kb
         assert 30 < kb < 400
+
+    @pytest.fixture
+    def retry_source(self):
+        path = pathlib.Path(repro.__file__).parent / "core" / "retry.py"
+        return path.read_text(encoding="utf-8")
+
+    def test_comment_edit_leaves_footprint_unchanged(self, retry_source):
+        edited = retry_source.replace(
+            "class CircuitBreaker:",
+            "# A new comment line.\nclass CircuitBreaker:  # and an inline one",
+        )
+        edited = edited.replace("# pragma: no cover", "# pragma: no cover, ever")
+        assert edited != retry_source
+        assert code_bytes(edited) == code_bytes(retry_source)
+
+    def test_docstring_edit_leaves_footprint_unchanged(self, retry_source):
+        edited = retry_source.replace(
+            '"""Retry policy and per-gateway circuit breaker.',
+            '"""Retry policy and the per-gateway circuit breaker.\n\nMore prose.',
+        )
+        edited = edited.replace(
+            "    def record_failure(self, address: str) -> None:\n",
+            "    def record_failure(self, address: str) -> None:\n"
+            '        """Count one failure; may trip the breaker."""\n',
+        )
+        assert edited.count('"""') == retry_source.count('"""') + 2
+        assert code_bytes(edited) == code_bytes(retry_source)
+
+    def test_code_edit_moves_footprint(self, retry_source):
+        edited = retry_source.replace("RETRY_JITTER = 0.1", "RETRY_JITTER = 0.125")
+        assert code_bytes(edited) == code_bytes(retry_source) + 2
 
 
 class TestReport:

@@ -17,6 +17,7 @@ import pytest
 from repro.apps.ebanking import BankServiceAgent, EBankingAgent, ebanking_service_code, make_transactions
 from repro.core import DeploymentBuilder, PDAgentConfig
 from repro.core.errors import GatewayError
+from repro.core import retry as retry_module
 from repro.core.retry import CircuitBreaker, RetryPolicy
 from repro.mas import Stop
 from repro.simnet import (
@@ -173,8 +174,12 @@ class TestRetryReproducibility:
             assert attempt >= 1
             assert delay > 0.0
 
-    def test_backoff_grows_exponentially_within_jitter(self):
-        policy = RetryPolicy(base_delay=1.0, backoff_factor=2.0, jitter=0.1, max_delay=100.0)
+    def test_backoff_grows_exponentially_within_jitter(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "RETRY_BASE_DELAY", 1.0)
+        monkeypatch.setattr(retry_module, "RETRY_BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(retry_module, "RETRY_JITTER", 0.1)
+        monkeypatch.setattr(retry_module, "RETRY_MAX_DELAY", 100.0)
+        policy = RetryPolicy()
         stream = Network(master_seed=0).streams.get("retry:test")
         d1 = policy.backoff_delay(1, stream)
         d2 = policy.backoff_delay(2, stream)

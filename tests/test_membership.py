@@ -18,6 +18,8 @@ Covers the fleet-membership PR end to end:
 
 import pytest
 
+from repro.core import fleet as fleet_module
+from repro.core import gateway as gateway_module
 from repro.core.errors import GatewayError
 from repro.core.fleet import (
     FLEET_CLAIM_PATH,
@@ -267,13 +269,11 @@ class TestGracefulDrain:
 
 
 class TestFailureDetector:
-    def test_silent_member_marked_down_then_rejoins(self):
-        config = fleet_config(
-            fleet_claim_timeout_s=1.0,
-            fleet_suspicion_timeout_s=3.0,
-            fleet_heartbeat_interval_s=1.0,
-            fleet_reconcile_interval_s=2.0,
-        )
+    def test_silent_member_marked_down_then_rejoins(self, monkeypatch):
+        monkeypatch.setattr(fleet_module, "FLEET_CLAIM_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(gateway_module, "FLEET_HEARTBEAT_INTERVAL_S", 1.0)
+        monkeypatch.setattr(gateway_module, "FLEET_RECONCILE_INTERVAL_S", 2.0)
+        config = fleet_config(fleet_suspicion_timeout_s=3.0)
         dep = build_dep(config=config)
         subscribe(dep)
         owner, forwarder, third = pick_gateways(dep, "fd-task")

@@ -19,6 +19,9 @@ from repro.apps.ebanking import (
     make_transactions,
 )
 from repro.core import DeploymentBuilder, PDAgentConfig
+from repro.core import gateway as gateway_module
+from repro.core import platform as platform_module
+from repro.core import session as session_module
 from repro.core.errors import ResultNotReadyError
 from repro.core.session import (
     CHUNK_OFFSET_HEADER,
@@ -469,8 +472,9 @@ class TestProtocolEdges:
         counters = dep.network.tracer.counters
         assert counters["gateway.session_retransmitted_bytes"] == 32
 
-    def test_idle_sessions_are_reaped(self):
-        dep = build_dep(config=session_config(session_ttl_s=5.0))
+    def test_idle_sessions_are_reaped(self, monkeypatch):
+        monkeypatch.setattr(session_module, "SESSION_TTL_S", 5.0)
+        dep = build_dep(config=session_config())
         platform = dep.platform("pda")
         open_session(dep, platform, "task-idle", 100)
         dep.sim.run(until=dep.sim.now + 60.0)
@@ -479,10 +483,10 @@ class TestProtocolEdges:
         assert [s.task_id for s in sessions] == ["task-live"]
         assert dep.network.tracer.counters["gateway.session_expired"] == 1
 
-    def test_session_admission_class_is_wired(self):
-        dep = build_dep(
-            config=session_config(gateway_session_workers=1, session_queue_limit=0)
-        )
+    def test_session_admission_class_is_wired(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "GATEWAY_SESSION_WORKERS", 1)
+        monkeypatch.setattr(gateway_module, "SESSION_QUEUE_LIMIT", 0)
+        dep = build_dep(config=session_config())
         gw = dep.gateway("gw-0")
         from repro.core.errors import GatewayOverloadedError
 
@@ -514,8 +518,9 @@ class TestReconnectPush:
         assert update["service"] == "ebanking"
         assert update["version"] == "2"
 
-    def test_push_queue_is_bounded(self):
-        dep = build_dep(config=session_config(push_queue_limit=3))
+    def test_push_queue_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(session_module, "PUSH_QUEUE_LIMIT", 3)
+        dep = build_dep(config=session_config())
         platform = dep.platform("pda")
         subscribe(dep, platform)
         deploy_streaming(dep, platform)
@@ -548,8 +553,9 @@ class TestHopProgressSatellite:
         assert 0 <= info.value.hops_visited <= 2
         assert info.value.hops_remaining <= 2
 
-    def test_adaptive_poll_waits_longer_with_hops_ahead(self):
-        dep = build_dep(config=PDAgentConfig(poll_interval=0.5))
+    def test_adaptive_poll_waits_longer_with_hops_ahead(self, monkeypatch):
+        monkeypatch.setattr(platform_module, "POLL_INTERVAL", 0.5)
+        dep = build_dep(config=PDAgentConfig())
         platform = dep.platform("pda")
         subscribe(dep, platform)
         txns = make_transactions(["bank-a", "bank-b"], 4)

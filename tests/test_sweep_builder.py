@@ -1,80 +1,8 @@
-"""Tests for the generic sweep utility and deployment-builder validation."""
+"""Tests for deployment-builder validation."""
 
 import pytest
 
 from repro.core import DeploymentBuilder
-from repro.experiments.sweep import sweep
-
-
-class TestSweep:
-    @pytest.fixture(scope="class")
-    def grid(self):
-        return sweep(
-            config_axes={"codec": ["lzss", "null"]},
-            scenario_axes={"wireless": ["GPRS", "WLAN"]},
-            ns=(3,),
-            seed=4,
-        )
-
-    def test_full_grid_size(self, grid):
-        assert len(grid.cells) == 2 * 2 * 1
-
-    def test_axis_names(self, grid):
-        assert grid.axis_names == ["codec", "wireless", "n_txns"]
-
-    def test_cells_carry_swept_values(self, grid):
-        combos = {
-            (c.config_values["codec"], c.scenario_values["wireless"])
-            for c in grid.cells
-        }
-        assert combos == {
-            ("lzss", "GPRS"),
-            ("lzss", "WLAN"),
-            ("null", "GPRS"),
-            ("null", "WLAN"),
-        }
-
-    def test_expected_interaction(self, grid):
-        """Compression matters on GPRS, barely on WLAN (the use case)."""
-
-        def cell(codec, wireless):
-            return next(
-                c
-                for c in grid.cells
-                if c.config_values["codec"] == codec
-                and c.scenario_values["wireless"] == wireless
-            )
-
-        gprs_gain = (
-            cell("null", "GPRS").metrics.upload_time
-            - cell("lzss", "GPRS").metrics.upload_time
-        )
-        wlan_gain = (
-            cell("null", "WLAN").metrics.upload_time
-            - cell("lzss", "WLAN").metrics.upload_time
-        )
-        assert gprs_gain > wlan_gain > -0.01
-
-    def test_best_cell(self, grid):
-        best = grid.best("completion_time")
-        # fastest: compressed on the fast link
-        assert best.scenario_values["wireless"] == "WLAN"
-
-    def test_table_and_csv_render(self, grid):
-        table = grid.table("completion_time")
-        assert "codec" in table and "wireless" in table
-        csv_text = grid.csv("pi_wire_bytes")
-        assert csv_text.splitlines()[0] == "codec,wireless,n_txns,pi_wire_bytes"
-        assert len(csv_text.splitlines()) == 5
-
-    def test_unknown_metric_rejected(self, grid):
-        with pytest.raises(KeyError):
-            grid.cells[0].value("velocity")
-
-    def test_empty_axes_single_cell(self):
-        grid = sweep(ns=(2,), seed=4)
-        assert len(grid.cells) == 1
-        assert grid.cells[0].n_transactions == 2
 
 
 class TestDeploymentBuilderValidation:

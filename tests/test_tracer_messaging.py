@@ -23,7 +23,8 @@ class TestTracer:
         net.tracer.count("x")
         net.tracer.count("x", 4)
         assert net.tracer.counters["x"] == 5
-        assert net.tracer.counters["never"] == 0  # defaultdict
+        assert net.tracer.counters["never"] == 0
+        assert "never" not in net.tracer.counters  # reading creates no counter
 
     def test_series(self, net):
         net.tracer.record("s", 1.0)
