@@ -8,13 +8,19 @@
 * :mod:`~repro.apps.auction` — deadline-critical sniping (PI deadlines);
 * :mod:`~repro.apps.jobfarm` — throughput-critical fan-out/merge farming.
 
-:func:`add_app_sites` wires the six archetypes the swarm and the diversity
-capstone mix into a deployment.
+:func:`app_world` starts every world the experiments and the swarm build:
+the central server, the gateways, the sites (each with the six archetypes'
+service agents, via :func:`add_app_sites`) and the access points.
+:func:`stops` is the one table of the stop task each archetype's agent runs
+at a site.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Optional, Sequence
+
+from ..core import DeploymentBuilder, PDAgentConfig
+from ..mas import Stop
 
 from .auction import (
     AuctionHouseServiceAgent,
@@ -105,13 +111,62 @@ __all__ = [
     "jobfarm_service_code",
     "make_job",
     "add_app_sites",
+    "app_world",
+    "stops",
+    "STOP_TASKS",
 ]
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..core import DeploymentBuilder
+#: The stop task each archetype's agent runs at a site, by service name.
+STOP_TASKS = {
+    "ebanking": "banking",
+    "foodsearch": "search",
+    "mcommerce": "shopping",
+    "ridedispatch": "match",
+    "auctionsnipe": "quote",
+    "jobfarm": "farm",
+}
 
 
-def add_app_sites(builder: "DeploymentBuilder", sites: Sequence[str]) -> None:
+def stops(service: str, sites: Sequence[str]) -> list[Stop]:
+    """The itinerary of a ``service`` task over ``sites``: one stop per
+    site, running the archetype's stop task.
+
+    A jobfarm itinerary carries only the rendezvous ``sites[0]``; the
+    master fans the job out to the other shard sites inside the MAS tier.
+    """
+    if service == "jobfarm":
+        sites = sites[:1]
+    return [Stop(site, task=STOP_TASKS[service]) for site in sites]
+
+
+def app_world(
+    seed: int,
+    gateways: Sequence[str],
+    sites: Sequence[str],
+    access_points: Sequence[str] = (),
+    config: Optional[PDAgentConfig] = None,
+    mas_flavour: str = "aglets",
+) -> DeploymentBuilder:
+    """A builder holding the central server ``"central"``, ``gateways``,
+    ``sites`` (via :func:`add_app_sites`) and ``access_points``.
+
+    Callers add their devices, then call ``build()``.  Service agents draw
+    no randomness and schedule nothing until invoked, so a world gains the
+    archetypes it does not use for free.
+    """
+    builder = DeploymentBuilder(
+        master_seed=seed, config=config, mas_flavour=mas_flavour
+    )
+    builder.add_central("central")
+    for gateway in gateways:
+        builder.add_gateway(gateway)
+    add_app_sites(builder, sites)
+    for access_point in access_points:
+        builder.add_access_point(access_point)
+    return builder
+
+
+def add_app_sites(builder: DeploymentBuilder, sites: Sequence[str]) -> None:
     """Add ``sites``, each hosting every archetype's service agents, then
     register the six archetypes' agent classes and publish their code.
 

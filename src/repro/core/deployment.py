@@ -201,6 +201,13 @@ class DeploymentBuilder:
             mas.register_service(service)
         return self
 
+    def add_access_point(self, address: str) -> "DeploymentBuilder":
+        """Create an access-point router on a LAN link to the backbone, for
+        devices to attach to (``add_device(..., attach_to=address)``)."""
+        self.network.add_node(address, kind="router")
+        self.network.add_duplex_link(address, self._backbone, link_profile("LAN"))
+        return self
+
     def add_device(
         self,
         address: str,

@@ -54,12 +54,12 @@ class NetworkManager:
     def __init__(
         self,
         device: "Device",
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
+        retry_policy: RetryPolicy,
+        breaker: CircuitBreaker,
     ) -> None:
         self.device = device
         self.network = device.network
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.retry_policy = retry_policy
         self.breaker = breaker
         self._retry_stream = self.network.streams.get(f"retry:{device.device_id}")
         self.uploads = 0
@@ -221,8 +221,7 @@ class NetworkManager:
                 GATEWAY_PORT, purpose="session-stream",
             )
         except _RETRIABLE as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure(gateway)
+            self.breaker.record_failure(gateway)
             span.end(status="error")
             raise GatewayError(
                 f"session channel to {gateway} failed: {exc}"
@@ -284,8 +283,7 @@ class NetworkManager:
                         headers=wire_headers,
                     )
                 except _RETRIABLE as exc:
-                    if self.breaker is not None:
-                        self.breaker.record_failure(gateway)
+                    self.breaker.record_failure(gateway)
                     if attempt >= policy.max_attempts:
                         raise GatewayError(
                             f"{purpose} failed after {attempt} attempts: {exc}"
@@ -342,13 +340,11 @@ class NetworkManager:
                         raise DeadlineExpiredError(
                             f"{purpose} refused: {resp.reason}"
                         )
-                    if self.breaker is not None:
-                        self.breaker.record_failure(gateway)
+                    self.breaker.record_failure(gateway)
                     raise GatewayError(
                         f"{purpose} failed: HTTP {resp.status}: {resp.reason}"
                     )
-                if self.breaker is not None:
-                    self.breaker.record_success(gateway)
+                self.breaker.record_success(gateway)
                 span.end(attempts=attempt)
                 return resp
         finally:
@@ -422,8 +418,7 @@ class SessionChannel:
             yield from self._sock.send(req, req.wire_size)
             message = yield from self._sock.recv()
         except _RETRIABLE as exc:
-            if self.net.breaker is not None:
-                self.net.breaker.record_failure(self.gateway)
+            self.net.breaker.record_failure(self.gateway)
             raise GatewayError(
                 f"session channel to {self.gateway} broke: {exc}"
             ) from exc
@@ -432,8 +427,7 @@ class SessionChannel:
             raise GatewayError(
                 f"session channel: unexpected payload {resp!r}"
             )
-        if self.net.breaker is not None:
-            self.net.breaker.record_success(self.gateway)
+        self.net.breaker.record_success(self.gateway)
         self.exchanges += 1
         return resp
 

@@ -196,6 +196,31 @@ class PDAgentPlatform:
         response was lost is deduplicated by the gateway instead of
         dispatching a second agent.
         """
+        handle, _ = yield from self._deploy(
+            service, params, stops, gateway, task_id, deadline, streaming=False
+        )
+        return handle
+
+    def _deploy(
+        self,
+        service: str,
+        params: dict[str, Any],
+        stops: Optional[list[Stop]],
+        gateway: Optional[str],
+        task_id: Optional[str],
+        deadline: float,
+        streaming: bool,
+    ) -> Generator:
+        """Process: the pack → upload → failover loop of :meth:`deploy` and
+        :meth:`deploy_streaming`; returns ``(handle, session)``.
+
+        The PI goes up in one ``upload_pi`` exchange or, when ``streaming``,
+        over a fresh :class:`DeviceSession` per gateway tried (``session``
+        is None otherwise).
+        """
+        if streaming:
+            from ..device.session import DeviceSession  # lazy: import cycle
+
         stored = self.db.find_code_by_service(service)
         if stored is None:
             raise SubscriptionError(
@@ -207,14 +232,17 @@ class PDAgentPlatform:
         # The task root span covers the whole user-visible task: it stays
         # open while the agent travels and is closed by collect().  Every
         # span of this deployment — across all three tiers — nests under it.
+        mode = {"mode": "streaming"} if streaming else {}
         tele = self.device.network.telemetry
         root = tele.start_span(
             f"task:{service}", node=self.device.address,
-            attrs={"device": self.device.device_id},
+            attrs={"device": self.device.device_id, **mode},
         )
         deploy_span = tele.start_span(
-            "device.deploy", node=self.device.address, parent=root
+            "device.deploy", node=self.device.address, parent=root,
+            attrs=mode or None,
         )
+        session = None
         try:
             gateway = yield from self._resolve_gateway(gateway)
             failed: set[str] = set()
@@ -227,11 +255,20 @@ class PDAgentPlatform:
                 packed = yield from self.dispatcher.pack_for(
                     content, gateway, trace=deploy_span.context
                 )
-                try:
-                    ticket, agent_id = yield from self.netmanager.upload_pi(
+                if streaming:
+                    session = DeviceSession(
+                        self.netmanager, gateway, self.config,
+                        task_id=task_id, frame=packed.data,
+                        trace=deploy_span.context,
+                    )
+                    upload = session.upload()
+                else:
+                    upload = self.netmanager.upload_pi(
                         gateway, packed.data, trace=deploy_span.context,
                         task_id=task_id,
                     )
+                try:
+                    ticket, agent_id = yield from upload
                     break
                 except GatewayError:
                     # Failover (§3.5 reliability): an unreachable or failing
@@ -240,14 +277,22 @@ class PDAgentPlatform:
                     # over — the caller asked for that one specifically.
                     if explicit:
                         raise
-                    # The abandoned attempt's frame is re-sent from byte
-                    # zero at the next gateway: a store-and-forward restart.
-                    self.netmanager.count_restart(
-                        len(packed.data), "deploy-failover"
-                    )
+                    # The bytes the abandoned attempt shipped are re-sent from
+                    # byte zero at the next gateway (sessions are
+                    # gateway-local, so a session moves on as a fresh one and
+                    # a re-pack): a restart, ledgered like any other.
+                    if session is None:
+                        self.netmanager.count_restart(
+                            len(packed.data), "deploy-failover"
+                        )
+                    else:
+                        self.netmanager.count_restart(
+                            session.bytes_sent, "session-failover"
+                        )
                     failed.add(gateway)
                     gateway = yield from self.selector.select(exclude=failed)
-            deploy_span.end(gateway=gateway, ticket=ticket)
+            chunks = {"chunks": session.chunks_sent} if session is not None else {}
+            deploy_span.end(gateway=gateway, ticket=ticket, **chunks)
         finally:
             if deploy_span.open:
                 deploy_span.end(status="error")
@@ -267,7 +312,7 @@ class PDAgentPlatform:
                 dispatched_at=self.device.sim.now,
             )
         )
-        return handle
+        return handle, session
 
     # ------------------------------------------------------------ results
     def collect(
@@ -369,79 +414,8 @@ class PDAgentPlatform:
         deployments — a gateway without the session layer answers 404 and
         the deployment fails rather than silently degrading.
         """
-        from ..device.session import DeviceSession  # lazy: import cycle
-
-        stored = self.db.find_code_by_service(service)
-        if stored is None:
-            raise SubscriptionError(
-                f"not subscribed to {service!r}; call subscribe() first"
-            )
-        explicit = gateway is not None
-        if task_id is None:
-            task_id = self.dispatcher.new_task_id()
-        tele = self.device.network.telemetry
-        root = tele.start_span(
-            f"task:{service}", node=self.device.address,
-            attrs={"device": self.device.device_id, "mode": "streaming"},
-        )
-        deploy_span = tele.start_span(
-            "device.deploy", node=self.device.address, parent=root,
-            attrs={"mode": "streaming"},
-        )
-        try:
-            gateway = yield from self._resolve_gateway(gateway)
-            failed: set[str] = set()
-            while True:
-                content = self.dispatcher.build_content(
-                    stored, params, stops=stops, origin=gateway,
-                    trace=deploy_span.context, task_id=task_id,
-                    deadline=deadline,
-                )
-                packed = yield from self.dispatcher.pack_for(
-                    content, gateway, trace=deploy_span.context
-                )
-                session = DeviceSession(
-                    self.netmanager, gateway, self.config,
-                    task_id=task_id, frame=packed.data,
-                    trace=deploy_span.context,
-                )
-                try:
-                    ticket, agent_id = yield from session.upload()
-                    break
-                except GatewayError:
-                    # Same failover contract as deploy(): sessions are
-                    # gateway-local, so moving on means a fresh session
-                    # (and a re-pack) against the next candidate.  Bytes
-                    # the dead session had already shipped are re-sent
-                    # there — ledger them like any other restart.
-                    if explicit:
-                        raise
-                    self.netmanager.count_restart(
-                        session.bytes_sent, "session-failover"
-                    )
-                    failed.add(gateway)
-                    gateway = yield from self.selector.select(exclude=failed)
-            deploy_span.end(
-                gateway=gateway, ticket=ticket, chunks=session.chunks_sent
-            )
-        finally:
-            if deploy_span.open:
-                deploy_span.end(status="error")
-            if root.open and deploy_span.status != "ok":
-                root.end(status="error")
-        handle = DispatchHandle(
-            ticket=ticket, agent_id=agent_id, gateway=gateway, service=service,
-            trace_id=root.trace_id, task_id=task_id,
-        )
-        self.db.record_dispatch(
-            DispatchRecord(
-                ticket=ticket,
-                agent_id=agent_id,
-                gateway=gateway,
-                service=service,
-                status="dispatched",
-                dispatched_at=self.device.sim.now,
-            )
+        handle, session = yield from self._deploy(
+            service, params, stops, gateway, task_id, deadline, streaming=True
         )
         return StreamingDispatch(handle=handle, session=session)
 

@@ -66,7 +66,7 @@ class GatewaySelector:
         central_address: str,
         config: PDAgentConfig,
         keyring: KeyRing,
-        breaker: Optional[CircuitBreaker] = None,
+        breaker: CircuitBreaker,
     ) -> None:
         self.network = network
         self.device_address = device_address
@@ -285,9 +285,7 @@ class GatewaySelector:
         exclude = exclude | {
             e.address for e in self._entries if not self._healthy(e.address)
         }
-        skip = set(exclude)
-        if self.breaker is not None:
-            skip |= self.breaker.open_addresses()
+        skip = set(exclude) | self.breaker.open_addresses()
         entries = [e for e in self._entries if e.address not in skip]
         if not entries and skip != exclude:
             # Every remaining candidate is breaker-open: trying a suspect

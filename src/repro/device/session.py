@@ -362,10 +362,8 @@ class DeviceSession:
     def _nothing_to_resume(self) -> bool:
         """True when failing over loses nothing: zero bytes acknowledged
         and the gateway's circuit breaker is open (it just failed us)."""
-        breaker = self.net.breaker
         return (
-            breaker is not None
-            and breaker.is_open(self.gateway)
+            self.net.breaker.is_open(self.gateway)
             and self.bytes_sent == 0
             and not self.ticket_id
         )

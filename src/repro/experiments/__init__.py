@@ -11,6 +11,8 @@
 * :mod:`~repro.experiments.capstone` — the skeleton the capstones share:
   the e-banking access-point world, the dispatch tally, the paired-sweep
   table and its declared columns;
+* every world starts from :func:`repro.apps.app_world`, and every
+  itinerary comes from :func:`repro.apps.stops`;
 * capstones: :mod:`~repro.experiments.faults` (the Fig. 12 workload
   under a fault schedule), :mod:`~repro.experiments.overload` (dispatch
   storms through one gateway, protected vs not),

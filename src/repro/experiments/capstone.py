@@ -6,8 +6,9 @@ shared access-point router.  Each reports a *paired sweep*: two modes of
 the platform at every device population, same seed.  This module holds
 that skeleton once:
 
-* :func:`ebank_world` builds the world and pre-subscribes the devices,
-  and :func:`deploy_ebank` deploys one task's transfer in it;
+* :func:`ebank_world` builds the world on :func:`repro.apps.app_world`
+  and pre-subscribes the devices, and :func:`deploy_ebank` deploys one
+  task's transfer in it, its stops from :func:`repro.apps.stops`;
 * :func:`run_to_completion` runs a workload and registers the run with
   the ``--trace`` collector;
 * :func:`dispatch_tally` counts dispatched agents and duplicates;
@@ -21,15 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Generator, Iterable, Optional, Sequence, Union
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig, PDAgentPlatform
-from ..device import link_profile
-from ..mas import Stop
+from ..apps import app_world, make_transactions, stops
+from ..core import Deployment, PDAgentConfig, PDAgentPlatform
 from ..simnet.primitives import Event
 from ..telemetry.exporters import TraceCollector
 from .report import format_table, to_csv
@@ -83,20 +77,11 @@ def ebank_world(
     through ``gateways[0]`` before the measured phase starts; ``name``
     prefixes the set-up process names.
     """
-    builder = DeploymentBuilder(master_seed=seed, config=config)
-    builder.add_central("central")
-    for gw in gateways:
-        builder.add_gateway(gw)
-    for bank in BANKS:
-        builder.add_site(bank, services=[BankServiceAgent(bank_name=bank)])
-    builder.network.add_node(ACCESS_POINT, kind="router")
-    builder.network.add_duplex_link(ACCESS_POINT, "backbone", link_profile("LAN"))
+    builder = app_world(seed, gateways, BANKS, (ACCESS_POINT,), config)
     for k in range(n_devices):
         builder.add_device(
             f"pda-{k}", profile="PDA", wireless="WLAN", attach_to=ACCESS_POINT
         )
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
     deployment = builder.build()
     sim = deployment.sim
 
@@ -120,7 +105,7 @@ def deploy_ebank(platform: PDAgentPlatform, gateway: str, task_id: str) -> Gener
     handle = yield from platform.deploy(
         "ebanking",
         {"transactions": make_transactions(list(BANKS), 1)},
-        stops=[Stop(bank, task="banking") for bank in BANKS],
+        stops=stops("ebanking", BANKS),
         gateway=gateway,
         task_id=task_id,
     )

@@ -31,11 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Generator, Optional
 
-from ..apps import add_app_sites, make_transactions
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig
+from ..apps import app_world, make_transactions, stops
+from ..core import PDAgentConfig
 from ..core.errors import DeadlineExpiredError, PDAgentError
-from ..device import link_profile
-from ..mas import Stop
 from ..simnet.rng import StreamFactory
 from ..simtest.traffic import FlashCrowd, TrafficSpec, sample_arrivals
 from ..telemetry.exporters import TraceCollector
@@ -209,37 +207,15 @@ class DiversityResult:
         )
 
 
-def _build(seed: int, n_devices: int) -> Deployment:
-    builder = DeploymentBuilder(master_seed=seed, config=diversity_config())
-    builder.add_central("central")
-    for g in range(N_GATEWAYS):
-        builder.add_gateway(f"gw-{g}")
-    add_app_sites(builder, SITES)
-    # City cells: AP routers between the device radios and the backbone.
-    for j in range(N_APS):
-        builder.network.add_node(f"ap-{j}", kind="router")
-        builder.network.add_duplex_link(
-            f"ap-{j}", "backbone", link_profile("LAN")
-        )
-    for i in range(n_devices):
-        builder.add_device(
-            f"dev-{i}",
-            profile="PDA",
-            wireless="WLAN",
-            attach_to=f"ap-{i % N_APS}",
-        )
-    return builder.build()
-
-
 def _plan_tasks(
     seed: int, n_devices: int, traffic: TrafficSpec
 ) -> tuple[list[dict[str, Any]], int]:
     """The day's task list: (plans, flash_retimed_count).
 
-    One plan per device — app class, service params, stops, arrival time,
-    deadline — all drawn from named streams so the plan (and therefore
-    the whole simulated day) is a pure function of (seed, n_devices,
-    traffic).
+    One plan per device — app class (its service name), service params,
+    stops, arrival time, deadline — all drawn from named streams so the
+    plan (and therefore the whole simulated day) is a pure function of
+    (seed, n_devices, traffic).
     """
     streams = StreamFactory(master_seed=seed)
     arrivals_s = streams.get("diversity:arrivals")
@@ -265,60 +241,51 @@ def _plan_tasks(
                 )
                 flash_retimed += 1
         app = str(apps_s.choice(list(APP_MIX)))
-        site = SITES[i % len(SITES)]
+        sites = [SITES[i % len(SITES)]]
         deadline = 0.0
         if app == "ebanking":
-            service, params = "ebanking", {
-                "transactions": make_transactions([site], 1)
-            }
-            stops = [Stop(site, task="banking")]
+            params = {"transactions": make_transactions(sites, 1)}
         elif app == "foodsearch":
-            service, params = "foodsearch", {
+            params = {
                 "cuisine": str(params_s.choice(["cantonese", "thai", "italian"])),
                 "max_price": params_s.randint(80, 200),
                 "limit": 5,
             }
-            stops = [Stop(site, task="search")]
         elif app == "mcommerce":
-            service, params = "mcommerce", {
+            params = {
                 "item": str(params_s.choice(["camera", "phone", "pda"])),
                 "budget": round(params_s.uniform(250.0, 450.0), 3),
             }
-            stops = [Stop(site, task="shopping")]
         elif app == "ridedispatch":
-            service, params = "ridedispatch", {
+            params = {
                 "zone": str(params_s.choice(list(_ZONES))),
                 "max_eta_s": 600.0,
             }
-            stops = [Stop(site, task="match")]
         elif app == "auctionsnipe":
             deadline = round(
                 arrival + params_s.uniform(*DEADLINE_SLACK_S), 3
             )
-            service, params = "auctionsnipe", {
+            params = {
                 "lot": f"lot-{params_s.randint(0, 5)}",
                 "budget": round(params_s.uniform(150.0, 520.0), 3),
                 "deadline": deadline,
             }
-            stops = [Stop(site, task="quote")]
         else:  # jobfarm
             size = params_s.randint(1, 3)
-            shard_sites = [site, SITES[(i + 1) % len(SITES)]]
-            service, params = "jobfarm", {
+            sites.append(SITES[(i + 1) % len(SITES)])
+            params = {
                 "job": {
                     "name": f"{params_s.choice(['render', 'index'])}-{size}",
                     "size": size,
                 },
-                "sites": shard_sites,
+                "sites": sites,
             }
-            stops = [Stop(shard_sites[0], task="farm")]
         plans.append(
             {
                 "device": i,
                 "app": app,
-                "service": service,
                 "params": params,
-                "stops": stops,
+                "stops": stops(app, sites),
                 "arrival": arrival,
                 "deadline": deadline,
             }
@@ -341,7 +308,19 @@ def run_diversity(
     deploy with their PI deadline; a gateway refusing an expired dispatch
     counts as a deadline miss, not a retryable failure.
     """
-    deployment = _build(seed, n_devices)
+    # City cells: AP routers between the device radios and the backbone.
+    builder = app_world(
+        seed,
+        [f"gw-{g}" for g in range(N_GATEWAYS)],
+        SITES,
+        [f"ap-{j}" for j in range(N_APS)],
+        diversity_config(),
+    )
+    for i in range(n_devices):
+        builder.add_device(
+            f"dev-{i}", profile="PDA", wireless="WLAN", attach_to=f"ap-{i % N_APS}"
+        )
+    deployment = builder.build()
     sim = deployment.sim
     plans, flash_retimed = _plan_tasks(seed, n_devices, traffic)
     classes = {app: ClassStats(app=app) for app in sorted(set(APP_MIX))}
@@ -353,7 +332,7 @@ def run_diversity(
         platform = deployment.platform(f"dev-{plan['device']}")
         yield from platform.selector.refresh_list()
         gateway = f"gw-{(plan['device'] % N_APS) % N_GATEWAYS}"
-        yield from platform.subscribe(plan["service"], gateway=gateway)
+        yield from platform.subscribe(plan["app"], gateway=gateway)
         return True
 
     procs = [
@@ -375,7 +354,7 @@ def run_diversity(
         outcomes.append(out)
         try:
             handle = yield from platform.deploy(
-                plan["service"],
+                plan["app"],
                 plan["params"],
                 stops=plan["stops"],
                 gateway=gateway,

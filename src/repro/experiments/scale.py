@@ -31,14 +31,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Generator, Optional
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
-from ..core import DeploymentBuilder, PDAgentConfig
-from ..mas import Stop
+from ..apps import app_world, make_transactions, stops
+from ..core import PDAgentConfig
 
 __all__ = [
     "PopulationResult",
@@ -164,21 +158,17 @@ def run_population(
         n_gateways = max(2, n_devices // DEVICES_PER_GATEWAY)
     _reset_peak_rss()
     t_build = time.perf_counter()
-    builder = DeploymentBuilder(master_seed=seed, config=config)
-    builder.add_central("central")
-    for g in range(n_gateways):
-        builder.add_gateway(f"gw-{g}")
-    builder.add_site("bank-a", services=[BankServiceAgent(bank_name="bank-a")])
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
+    gateways = [f"gw-{g}" for g in range(n_gateways)]
+    sites = ("bank-a",)
+    builder = app_world(seed, gateways, sites, config=config)
     for i in range(n_devices):
         builder.add_device(f"dev-{i}", wireless="WLAN")
     deployment = builder.build()
     build_wall = time.perf_counter() - t_build
 
     sim = deployment.sim
-    txns = make_transactions(["bank-a"], transactions_per_task)
-    stops = [Stop("bank-a", task="banking")]
+    txns = make_transactions(list(sites), transactions_per_task)
+    itinerary = stops("ebanking", sites)
     completed = 0
 
     def one_task(i: int) -> Generator:
@@ -188,7 +178,7 @@ def run_population(
         yield sim.timeout(i * ARRIVAL_SPACING_S)
         yield from platform.subscribe("ebanking", gateway=gateway)
         handle = yield from platform.deploy(
-            "ebanking", {"transactions": txns}, stops=stops, gateway=gateway
+            "ebanking", {"transactions": txns}, stops=itinerary, gateway=gateway
         )
         yield deployment.gateway(handle.gateway).ticket(handle.ticket).completed
         yield from platform.collect(handle)

@@ -2,10 +2,12 @@
 
 Builds (per run, from a seed):
 
-* central server + one PDAgent gateway (MAS co-located),
-* two bank sites, each hosting a MAS :class:`BankServiceAgent` *and* a
-  :class:`BankWebServer` front (so every approach hits the same backend
-  think time),
+* central server + one PDAgent gateway (MAS co-located), from
+  :func:`repro.apps.app_world`,
+* two bank sites, each hosting the archetypes' MAS service agents (the
+  :class:`BankServiceAgent` among them) *and* a :class:`BankWebServer`
+  front with the same think time (so every approach hits the same
+  backend cost),
 * a PDA on a wireless link (client-server + PDAgent run from it),
 * a desktop on a wired LAN (the web-based approach runs from it).
 
@@ -19,12 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from ..apps.ebanking import (
-    BankServiceAgent,
-    EBankingAgent,
-    ebanking_service_code,
-    make_transactions,
-)
+from ..apps import BANK_THINK_TIME, app_world, make_transactions
+from ..apps import stops as itinerary
 from ..baselines import (
     AgentServer,
     BankWebServer,
@@ -33,7 +31,7 @@ from ..baselines import (
     InstalledApp,
     WebBasedRunner,
 )
-from ..core import Deployment, DeploymentBuilder, PDAgentConfig, PDAgentPlatform
+from ..core import Deployment, PDAgentConfig, PDAgentPlatform
 from ..device import Device
 from ..mas import Stop
 from ..simnet.faults import FaultSchedule
@@ -83,7 +81,6 @@ class EvaluationScenario:
     desktop: Device
     banks: list[str]
     gateway_address: str
-    bank_services: dict[str, BankServiceAgent]
     bank_webs: dict[str, BankWebServer]
     agent_server: Optional[AgentServer] = None
 
@@ -105,7 +102,7 @@ class EvaluationScenario:
         return make_transactions(self.banks, count)
 
     def stops(self) -> list[Stop]:
-        return [Stop(bank, task="banking") for bank in self.banks]
+        return itinerary("ebanking", self.banks)
 
     # -- approach runners ------------------------------------------------------
     def client_server_runner(self) -> ClientServerRunner:
@@ -137,28 +134,21 @@ def build_scenario(
     RTT probing, and the e-banking subscription — so the measured runs
     contain only the steady-state traffic the paper measures.
     """
-    builder = DeploymentBuilder(
-        master_seed=seed, config=config, mas_flavour=mas_flavour
+    builder = app_world(
+        seed,
+        [f"gw-{i}" for i in range(n_gateways)],
+        banks,
+        config=config,
+        mas_flavour=mas_flavour,
     )
-    builder.add_central("central")
-    for i in range(n_gateways):
-        builder.add_gateway(f"gw-{i}")
-    bank_services: dict[str, BankServiceAgent] = {}
-    for bank in banks:
-        service = BankServiceAgent(bank_name=bank)
-        bank_services[bank] = service
-        builder.add_site(bank, services=[service])
     builder.add_device("pda", profile=device_profile, wireless=wireless)
     builder.add_device("desktop", profile="DESKTOP", wireless="LAN")
-    builder.register_agent_class(EBankingAgent)
-    builder.publish(ebanking_service_code())
     deployment = builder.build()
 
     # Bank web fronts share the bank nodes (and their think-time model).
     bank_webs = {
         bank: BankWebServer(
-            deployment.network.node(bank),
-            think_time=bank_services[bank].processing_time,
+            deployment.network.node(bank), think_time=BANK_THINK_TIME
         )
         for bank in banks
     }
@@ -174,9 +164,7 @@ def build_scenario(
             InstalledApp(
                 service="ebanking",
                 agent_class="EBankingAgent",
-                itinerary_builder=lambda params, origin: [
-                    Stop(b, task="banking") for b in banks
-                ],
+                itinerary_builder=lambda params, origin: itinerary("ebanking", banks),
             )
         )
 
@@ -187,7 +175,6 @@ def build_scenario(
         desktop=deployment.devices["desktop"],
         banks=list(banks),
         gateway_address="gw-0",
-        bank_services=bank_services,
         bank_webs=bank_webs,
         agent_server=agent_server,
     )

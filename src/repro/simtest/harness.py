@@ -23,8 +23,8 @@ import io
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from ..apps import add_app_sites, make_transactions
-from ..core import DeploymentBuilder, PDAgentConfig
+from ..apps import app_world, make_transactions, stops
+from ..core import PDAgentConfig
 from ..core.deployment import Deployment
 from ..core.errors import (
     DeadlineExpiredError,
@@ -157,17 +157,16 @@ def _config_for(spec: ScenarioSpec) -> PDAgentConfig:
 
 def build_deployment(spec: ScenarioSpec) -> Deployment:
     """Wire the scenario's world: infrastructure, apps, access points."""
-    builder = DeploymentBuilder(master_seed=spec.seed, config=_config_for(spec))
-    builder.add_central("central")
-    for gw in spec.gateways:
-        builder.add_gateway(gw)
-    add_app_sites(builder, spec.sites)
     # Access points: router nodes between device radios and the backbone,
     # so mobility (re-homing to another AP) and AP-uplink faults are real
     # topology events, not no-ops.
-    for j in range(spec.n_aps):
-        builder.network.add_node(f"ap-{j}", kind="router")
-        builder.network.add_duplex_link(f"ap-{j}", "backbone", link_profile("LAN"))
+    builder = app_world(
+        spec.seed,
+        spec.gateways,
+        spec.sites,
+        [f"ap-{j}" for j in range(spec.n_aps)],
+        _config_for(spec),
+    )
     for dev in spec.devices:
         builder.add_device(
             dev.name,
@@ -218,60 +217,38 @@ def _fault_schedule(spec: ScenarioSpec) -> FaultSchedule:
 
 
 # ---------------------------------------------------------------- task drive
-def _task_params(spec_task: TaskSpec) -> tuple[str, dict[str, Any], list[Stop]]:
-    """(service, params, stops) for one TaskSpec."""
+def _task_params(spec_task: TaskSpec) -> tuple[dict[str, Any], list[Stop]]:
+    """(params, stops) for one TaskSpec; its ``app`` is the service name."""
     sites = list(spec_task.sites)
     if spec_task.app == "ebanking":
-        return (
-            "ebanking",
-            {"transactions": make_transactions(sites, spec_task.n_transactions)},
-            [Stop(site, task="banking") for site in sites],
-        )
-    if spec_task.app == "mcommerce":
-        return (
-            "mcommerce",
-            {"item": spec_task.item, "budget": spec_task.budget},
-            [Stop(site, task="shopping") for site in sites],
-        )
-    if spec_task.app == "ridedispatch":
-        return (
-            "ridedispatch",
-            {"zone": spec_task.zone or "downtown", "max_eta_s": 600.0},
-            [Stop(site, task="match") for site in sites],
-        )
-    if spec_task.app == "auctionsnipe":
-        return (
-            "auctionsnipe",
-            {
-                "lot": spec_task.lot or "lot-0",
-                "budget": spec_task.budget,
-                "deadline": spec_task.deadline,
+        params = {
+            "transactions": make_transactions(sites, spec_task.n_transactions)
+        }
+    elif spec_task.app == "mcommerce":
+        params = {"item": spec_task.item, "budget": spec_task.budget}
+    elif spec_task.app == "ridedispatch":
+        params = {"zone": spec_task.zone or "downtown", "max_eta_s": 600.0}
+    elif spec_task.app == "auctionsnipe":
+        params = {
+            "lot": spec_task.lot or "lot-0",
+            "budget": spec_task.budget,
+            "deadline": spec_task.deadline,
+        }
+    elif spec_task.app == "jobfarm":
+        params = {
+            "job": {
+                "name": spec_task.job or "job-0",
+                "size": max(1, spec_task.job_size),
             },
-            [Stop(site, task="quote") for site in sites],
-        )
-    if spec_task.app == "jobfarm":
-        # The itinerary carries only the rendezvous; the fan-out to the
-        # remaining shard sites happens inside the MAS tier via couriers.
-        return (
-            "jobfarm",
-            {
-                "job": {
-                    "name": spec_task.job or "job-0",
-                    "size": max(1, spec_task.job_size),
-                },
-                "sites": sites,
-            },
-            [Stop(sites[0], task="farm")],
-        )
-    return (
-        "foodsearch",
-        {
+            "sites": sites,
+        }
+    else:  # foodsearch
+        params = {
             "cuisine": spec_task.cuisine,
             "max_price": spec_task.max_price,
             "limit": 5,
-        },
-        [Stop(site, task="search") for site in sites],
-    )
+        }
+    return params, stops(spec_task.app, sites)
 
 
 class _Harness:
@@ -443,9 +420,10 @@ class _Harness:
             sites=spec_task.sites if spec_task.app == "jobfarm" else (),
         )
         self.outcomes.append(outcome)
-        service, params, stops = _task_params(spec_task)
+        params, itinerary = _task_params(spec_task)
         yield from self._drive(
-            outcome, service, params, stops, dev.pinned_gateway, spec_task.start,
+            outcome, spec_task.app, params, itinerary, dev.pinned_gateway,
+            spec_task.start,
             roam_retry=spec_task.roam_retry,
             session=spec_task.session,
             deadline=spec_task.deadline,
@@ -456,12 +434,11 @@ class _Harness:
         assert burst is not None
         outcome = TaskOutcome(device=burst.device, app="foodsearch", burst=True)
         self.outcomes.append(outcome)
-        site = self.spec.sites[0]
         yield from self._drive(
             outcome,
             "foodsearch",
             {"cuisine": "thai", "max_price": 200, "limit": 3},
-            [Stop(site, task="search")],
+            stops("foodsearch", self.spec.sites[:1]),
             burst.gateway,
             burst.at,
         )
@@ -470,12 +447,11 @@ class _Harness:
         dev = self.spec.devices[0]
         outcome = TaskOutcome(device=dev.name, app="foodsearch", injected=True)
         self.outcomes.append(outcome)
-        site = self.spec.sites[0]
         yield from self._drive(
             outcome,
             "foodsearch",
             {"cuisine": "thai", "max_price": 200, "limit": 3},
-            [Stop(site, task="search")],
+            stops("foodsearch", self.spec.sites[:1]),
             self.spec.gateways[0],
             1.0,
             deploy_twice=True,

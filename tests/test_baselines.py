@@ -121,8 +121,8 @@ class TestClientAgentServer:
     def test_collect_not_ready_returns_none(self):
         scenario = build_scenario(seed=33, with_agent_server=True)
         # slow the banks so the agent is still travelling at collect time
-        for service in scenario.bank_services.values():
-            service.processing_time = 60.0
+        for bank in scenario.banks:
+            scenario.deployment.mas(bank)._services["banking"].processing_time = 60.0
         runner = scenario.client_agent_server_runner()
 
         def flow():

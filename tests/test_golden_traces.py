@@ -48,9 +48,10 @@ class TestSimtestGoldenSeed:
         assert report.events_processed == 1102
 
 
-#: ``runner`` argv → pins of its ``--trace`` JSONL, its stdout without the
-#: ``[csv]``/``[trace] wrote <path>`` lines, and its ``--csv`` file (None
-#: for experiments that write no CSV).
+#: ``runner`` argv → pins of its ``--trace`` JSONL (None for experiments
+#: that trace nothing), its stdout without the ``[csv]``/``[trace] wrote
+#: <path>`` lines, and its ``--csv`` file (None for experiments that write
+#: no CSV).
 CAPSTONE_PINS = {
     ("overload", "--max-n", "2"): (
         ("19d5e71e1f663f542943bbe56463ac51a8d6c3f118ceabc26ebf0a1e3d855d55", 51977),
@@ -82,11 +83,27 @@ CAPSTONE_PINS = {
         ("a9f4512f289a99d114e0b69d3beb1666989fa82457ab294e88fc23aa653f5a94", 780),
         ("3ce38131d79a33d8b659af2a5fd73b2c79559931ccea01f28183ad157d9f8f00", 377),
     ),
+    ("fig13", "--max-n", "3"): (
+        ("9faacc9f1a57ef85746a6f490a70b2601934ecd19a45711dfcc344d3afd242eb", 166380),
+        ("ddb040fce8b5813821abe1efdce4b469975957de1a8f9a2bd2720cb95a09b9d2", 1120),
+        ("9e55eee0eefad5ff343f580d46ff1f434303843a3bd93ee051d7ddc70d72f590", 840),
+    ),
+    ("ablations",): (
+        None,
+        ("c9a1ed53002f6c19fc9e9bf4223ec2537aec0652407f8b68cf679bc1033d7d77", 1309),
+        None,
+    ),
+    ("extensions",): (
+        None,
+        ("61e5ded66cb6bfa2121e39c0d29ec96c1410f1d39002c350b5bf99f19862a55a", 1925),
+        None,
+    ),
 }
 
 
 class TestCapstoneGoldenOutputs:
-    """The capstone CLI's trace, table and CSV, pinned byte for byte."""
+    """The runner's trace, table and CSV, pinned byte for byte: the
+    capstones, and the fig13, ablations and extensions worlds."""
 
     @pytest.mark.parametrize(
         "argv", sorted(CAPSTONE_PINS), ids=lambda argv: argv[0]
@@ -101,7 +118,10 @@ class TestCapstoneGoldenOutputs:
             if not line.startswith(("[csv] wrote ", "[trace] wrote "))
         )
         jsonl_pin, stdout_pin, csv_pin = CAPSTONE_PINS[argv]
-        assert _pin(trace.read_text()) == jsonl_pin
+        if jsonl_pin is None:
+            assert not trace.exists()
+        else:
+            assert _pin(trace.read_text()) == jsonl_pin
         assert _pin(stdout) == stdout_pin
         csv_files = sorted(csv_dir.iterdir())
         if csv_pin is None:
